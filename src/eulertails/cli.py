@@ -315,7 +315,8 @@ def _tail_rows(args, t: float, methods: list[str]) -> list[dict]:
                     "the expansion route covers the upper tail only; "
                     "use --method saddle, perron, or mc for --tail lower"
                 )
-            rows.append(_estimate_row(tail_expansion(t, y, J=args.J, quad=quad)))
+            est = tail_expansion(t, y, J=args.J, solution=sol, quad=quad)
+            rows.append(_estimate_row(est))
         elif method == "perron":
             fn = tail_perron_lower if tail == "lower" else tail_perron
             _, upper_est = fn(t, y, params=_smoothing_from(args), solution=sol, quad=quad)

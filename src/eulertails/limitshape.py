@@ -23,6 +23,8 @@ one-sided limits at it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import ive
 
@@ -32,6 +34,9 @@ from .quadrature import QuadratureSpec, DEFAULT_QUAD, panel_nodes
 #: below this, power series; above, scaled-Bessel ratio formulas
 _SERIES_CUTOFF = 0.25
 _SERIES_TERMS = 16
+#: (2l)!/(2l-d)!, the factor that d derivatives bring down from u^{2l}
+_SERIES_PERM = [[float(math.perm(2 * l, d)) for d in range(4)]
+                for l in range(_SERIES_TERMS + 1)]
 #: above this, asymptotic series in w = 1/(2u) for derivatives -- the Bessel
 #: ratio forms cancel to ~u * eps relative error, which the tail integrals
 #: of the coefficient module would amplify
@@ -89,20 +94,28 @@ def _h_large(u: np.ndarray) -> np.ndarray:
     )
 
 
-def _series_su(u: np.ndarray, d: int) -> np.ndarray:
-    """d-th derivative of S(u) = sum u^{2l}/(l!(l+1)!), term-wise."""
-    out = np.zeros_like(u)
+def series_s(u: np.ndarray, order: int) -> np.ndarray:
+    """Rows S, S', ..., S^(order) of S(u) = sum u^{2l}/(l!(l+1)!), term-wise in
+    one descending pass over l: each power u^e is taken once (order d at l and
+    order d-2 at l-1 share it), and all orders at one l divide together."""
+    out = np.zeros((order + 1,) + u.shape)
+    terms = np.empty_like(out)
+    rows = list(terms)
+    # leading nd rows of out and terms; one row as a 1-D view (less overhead)
+    heads = [(out[0], rows[0])] + [(out[:i], terms[:i]) for i in range(2, order + 2)]
+    powers: dict[int, np.ndarray] = {}
     for l in range(_SERIES_TERMS, -1, -1):
-        e = 2 * l - d
-        if e < 0:
-            continue
-        c = 1.0
-        for k in range(2 * l, e, -1):
-            c *= k
-        term = c * u**e
+        nd = min(order, 2 * l) + 1
+        for d in range(nd):
+            e = 2 * l - d
+            pw = powers.pop(e) if e in powers else u**e
+            if d >= 2:
+                powers[e] = pw
+            np.multiply(_SERIES_PERM[l][d], pw, rows[d])
+        acc, t = heads[nd - 1]
         for k in range(1, l + 1):
-            term /= k * (k + 1)
-        out = out + term
+            t /= k * (k + 1)
+        acc += t
     return out
 
 
@@ -131,7 +144,7 @@ def g_fn(u):
     small = u < _SERIES_CUTOFF
     huge = u >= _IVE_CUTOFF
     mid = ~small & ~huge
-    out[small] = np.log(_series_su(u[small], 0))
+    out[small] = np.log(series_s(u[small], 0)[0])
     ub = u[mid]
     # ive(1, 2u) = I_1(2u) e^{-2u}; log(I_1(2u)/u) = log(ive/u) + 2u
     out[mid] = np.log(ive(1, 2 * ub) / ub) + 2 * ub
@@ -184,15 +197,13 @@ def _g_derivs_asym(u: np.ndarray, order: int) -> np.ndarray:
 
 
 def _g_derivs_series(u: np.ndarray, order: int) -> np.ndarray:
-    s0 = _series_su(u, 0)
-    s1 = _series_su(u, 1)
+    s = series_s(u, order)
+    r1 = s[1] / s[0]
     if order == 1:
-        return s1 / s0
-    s2 = _series_su(u, 2)
+        return r1
     if order == 2:
-        return s2 / s0 - (s1 / s0) ** 2
-    s3 = _series_su(u, 3)
-    r1, r2, r3 = s1 / s0, s2 / s0, s3 / s0
+        return s[2] / s[0] - r1**2
+    r2, r3 = s[2] / s[0], s[3] / s[0]
     return r3 - 3 * r2 * r1 + 2 * r1**3
 
 
@@ -308,7 +319,7 @@ def gp_over_u(u):
         for k in range(1, l + 1):
             term /= k * (k + 1)
         s1u = s1u + term
-    out[small] = s1u / _series_su(us, 0)
+    out[small] = s1u / series_s(us, 0)[0]
     ub = u[~small]
     out[~small] = np.asarray(g_deriv(ub, 1)) / ub
     return float(out) if out.ndim == 0 else out

@@ -42,7 +42,7 @@ from .constants import (
 )
 from .coefficients import coefficient_b
 from .errors import AccuracyError, ConsistencyError, DomainError
-from .limitshape import g_deriv, g_fn
+from .limitshape import series_s
 from .local import FAST_PATH_FACTOR, local_log_derivatives
 from .primes import primes_for
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, panel_nodes
@@ -100,20 +100,30 @@ def _layout(
     return out
 
 
-def _bucket_sums(
-    pvec: np.ndarray, sigma: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log E_p, dlog E_p, curvature) for one bucket, peak-factored."""
+def _bucket_tables(pvec: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """sigma-independent (weights, sin^2, log D_p) tables for one bucket."""
     th, w = panel_nodes(0.0, np.pi, n)
-    s2 = np.sin(th) ** 2
     pv = pvec[:, None]
     logd = -np.log(1.0 - 2.0 * np.cos(th)[None, :] / pv + pv**-2.0)
-    m = sigma * logd
-    mx = np.max(m, axis=1)
-    kern = np.exp(m - mx[:, None]) * s2[None, :]
+    return w, np.sin(th) ** 2, logd
+
+
+def _bucket_sums(
+    tables: tuple[np.ndarray, ...], sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log E_p, dlog E_p, curvature) for one bucket, peak-factored."""
+    w, s2, logd = tables
+    kern = sigma * logd
+    mx = np.max(kern, axis=1)
+    kern -= mx[:, None]
+    np.exp(kern, out=kern)
+    kern *= s2
     z = kern @ w
-    mean = (kern * logd) @ w / z
-    var = (kern * (logd - mean[:, None]) ** 2) @ w / z
+    scratch = kern * logd
+    mean = scratch @ w / z
+    np.square(np.subtract(logd, mean[:, None], out=scratch), out=scratch)
+    scratch *= kern
+    var = scratch @ w / z
     log_e = mx + np.log(z * (2.0 / np.pi))
     return log_e, mean, var
 
@@ -121,12 +131,14 @@ def _bucket_sums(
 def _fast_sums(
     pvec: np.ndarray, sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Limit-shape closed forms for p well above the tilt (vectorized)."""
+    """Limit-shape closed forms for p > 16 sigma (u < 1/16: the series branch)."""
     u = sigma / pvec
     log_d0 = -2.0 * np.log1p(-1.0 / pvec)
-    log_e = np.asarray(g_fn(u))
-    mean = 0.5 * np.asarray(g_deriv(u, 1)) * log_d0
-    var = np.asarray(g_deriv(u, 2)) / pvec**2
+    s0, s1, s2 = series_s(u, 2)
+    r1 = s1 / s0
+    log_e = np.log(s0)
+    mean = 0.5 * r1 * log_d0
+    var = (s2 / s0 - r1**2) / pvec**2
     return log_e, mean, var
 
 
@@ -163,16 +175,16 @@ def _sentinel_check(pvec: np.ndarray, sigma: float, quad: QuadratureSpec) -> Non
 
 
 def _profile_sums(
-    layout: list[tuple[np.ndarray, np.ndarray, int]],
+    tables: list[tuple[np.ndarray, ...]],
     fast: np.ndarray | None,
     sigma: float,
 ) -> tuple[float, float, float]:
-    """Orders 0..2 prime sums for a fixed bucket layout and fast set."""
+    """Orders 0..2 prime sums for fixed bucket tables and fast set."""
     parts_log: list[np.ndarray] = []
     parts_mean: list[np.ndarray] = []
     parts_var: list[np.ndarray] = []
-    for _, pvec, n in layout:
-        log_e, mean, var = _bucket_sums(pvec, sigma, n)
+    for tab in tables:
+        log_e, mean, var = _bucket_sums(tab, sigma)
         parts_log.append(log_e)
         parts_mean.append(mean)
         parts_var.append(var)
@@ -225,12 +237,12 @@ def phi_profile(
         cut = FAST_PATH_FACTOR * max(abs(sigma), 1.0)
         slow_p = primes[primes <= cut] if use_fast else primes
         fast_p = primes[primes > cut].astype(float) if use_fast else None
-        layout = _layout(slow_p, sigma, quad)
+        tables = [_bucket_tables(pv, n) for _, pv, n in _layout(slow_p, sigma, quad)]
         if fast_p is not None and fast_p.size:
             _sentinel_check(fast_p, sigma, quad)
 
         def sums(s: float) -> tuple[float, float, float]:
-            return _profile_sums(layout, fast_p, s)
+            return _profile_sums(tables, fast_p, s)
 
     phi0, phi1, phi2 = sums(sigma)
     if sigma == 0.0:
@@ -373,10 +385,7 @@ class MomentLine:
         parts1: list[np.ndarray] = []
         parts2: list[np.ndarray] = []
         for _, pvec, n in _layout(primes, sigma, quad, tau_max=tau_max):
-            th, w = panel_nodes(0.0, np.pi, n)
-            s2 = np.sin(th) ** 2
-            pv = pvec[:, None]
-            logd = -np.log(1.0 - 2.0 * np.cos(th)[None, :] / pv + pv**-2.0)
+            w, s2, logd = _bucket_tables(pvec, n)
             m = self.sigma * logd
             mx = np.max(m, axis=1)
             kern = np.exp(m - mx[:, None]) * s2[None, :] * w[None, :]

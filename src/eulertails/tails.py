@@ -233,6 +233,7 @@ def tail_expansion(
     J: int = 2,
     route: str = "saddle_series",
     coeff_source: str = "composed",
+    solution: SaddleSolution | None = None,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> TailEstimate:
     """log Phi by closed-form expansions with computed coefficients.
@@ -244,7 +245,7 @@ def tail_expansion(
     the direct closed forms (which disagree with the composed series; see
     :mod:`.coefficients`). y may be infinity: the solver then runs at
     y_eff = 10^3 e^t, large enough that the finite-y part of the remainder
-    is negligible.
+    is negligible. ``solution`` reuses a saddle already solved at (t, y_eff).
     """
     if route not in EXPANSION_ROUTES:
         raise DomainError(f"route must be one of {EXPANSION_ROUTES}")
@@ -254,7 +255,7 @@ def tail_expansion(
     if route == "saddle_series":
         if not 1 <= J <= 4:
             raise DomainError("saddle_series route supports J in 1..4")
-        sol = solve_saddle(t, y_eff, quad=quad)
+        sol = solution if solution is not None else solve_saddle(t, y_eff, quad=quad)
         log_k = math.log(sol.kappa)
         series = math.fsum(
             coefficient_a(j) / log_k**j for j in range(1, J + 1)

@@ -27,6 +27,34 @@ from eulertails.limitshape import (
     series_h_small,
     w_shape_ratio,
 )
+from eulertails.primes import primes_for
+from eulertails.profile import _fast_sums
+
+
+def _ref_series_su(u, d, terms=16):
+    """Reference: the d-th derivative of S(u) = sum u^{2l}/(l!(l+1)!) by a
+    separate term-wise loop per order, which the one-pass helper must match
+    bit for bit."""
+    out = np.zeros_like(u)
+    for l in range(terms, -1, -1):
+        e = 2 * l - d
+        if e < 0:
+            continue
+        c = 1.0
+        for k in range(2 * l, e, -1):
+            c *= k
+        term = c * u**e
+        for k in range(1, l + 1):
+            term /= k * (k + 1)
+        out = out + term
+    return out
+
+
+def _ref_g_derivs(u):
+    s0, s1, s2, s3 = (_ref_series_su(u, d) for d in range(4))
+    r1, r2, r3 = s1 / s0, s2 / s0, s3 / s0
+    return np.log(s0), r1, s2 / s0 - (s1 / s0) ** 2, r3 - 3 * r2 * r1 + 2 * r1**3
+
 
 # spans the series (<0.25), Bessel, and asymptotic (>25) branches
 BRANCH_GRID = [0.01, 0.1, 0.2, 0.249, 0.251, 0.7, 1.0, 3.0, 24.9, 25.1, 60.0, 500.0]
@@ -153,6 +181,28 @@ class TestSeries:
             series_h_small(1.0)
         with pytest.raises(DomainError):
             series_h_small(-0.1)
+
+
+class TestOnePassSeries:
+    """The one-pass series helper keeps every bit of the per-order loops."""
+
+    def test_g_and_derivatives_match_reference_loop(self):
+        u = np.random.default_rng(11).uniform(0.0, 0.25, 4000)
+        ref = _ref_g_derivs(u)
+        assert np.array_equal(g_fn(u), ref[0])
+        for order in (1, 2, 3):
+            assert np.array_equal(g_deriv(u, order), ref[order]), order
+            assert np.array_equal(g_deriv(-u, order), (-1) ** order * ref[order])
+
+    def test_fast_path_sums_match_reference_loop(self):
+        for sigma in (3.0, 20.0, 150.0):
+            p = primes_for(1e5)
+            p = p[p > 16 * sigma].astype(float)
+            ref_log, r1, r2, _ = _ref_g_derivs(sigma / p)
+            log_e, mean, var = _fast_sums(p, sigma)
+            assert np.array_equal(log_e, ref_log)
+            assert np.array_equal(mean, 0.5 * r1 * (-2.0 * np.log1p(-1.0 / p)))
+            assert np.array_equal(var, r2 / p**2)
 
 
 class TestNormalizedForms:

@@ -1,6 +1,7 @@
 """Quadrature toolbox: spec validation, both schemes, reductions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eulertails.quadrature import (
     gauss_legendre,
     integrate,
     kahan_sum,
+    leggauss,
     logsumexp_w,
     panel_nodes,
 )
@@ -100,6 +102,25 @@ class TestAdaptiveSimpson:
         a = adaptive_simpson(f, 0.0, math.pi, abs_tol=1e-13, rel_tol=1e-12)
         b = gauss_legendre(f, 0.0, math.pi, nodes=64)
         assert a == pytest.approx(b, rel=1e-11)
+
+
+class TestLeggauss:
+    def test_bit_identical_to_numpy(self):
+        for n in [*range(2, 301), 1024]:
+            x, w = leggauss(n)
+            x_np, w_np = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(x, x_np), f"nodes differ at n={n}"
+            assert np.array_equal(w, w_np), f"weights differ at n={n}"
+
+    def test_memory_is_linear_in_nodes(self):
+        # the dense companion-matrix route allocates 8192^2 doubles = 512 MB
+        tracemalloc.start()
+        try:
+            leggauss.__wrapped__(8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestIntegrateDispatch:
