@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--N", dest="kernel_n", type=int, help="smoothing kernel power (default 1)"
     )
     smooth.add_argument(
-        "--tau-max", type=float, help="contour truncation height (default policy)"
+        "--tau-max", type=float, help="cap on the contour grid extent (default policy)"
     )
 
     p = sub.add_parser(

@@ -36,6 +36,7 @@ from .constants import (
     T_SUPPORTED,
 )
 from .errors import ConsistencyError, DomainError, RegimeError
+from .primes import primes_for
 from .profile import MAX_ORDER, ProfileDerivatives, phi_profile
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
 
@@ -94,8 +95,23 @@ def _newton(
 
     ``eval_f(kappa)`` returns (f(kappa), f'(kappa) > 0, profile); the root
     is tracked inside [lo, hi], falling back to bisection whenever the
-    Newton step leaves the current bracket.
+    Newton step leaves the current bracket. An iterate with |f| <= tol
+    certifies the root, so the ends are evaluated only if Newton fails.
     """
+    kappa = min(max(kappa0, lo), hi)
+    a, b = lo, hi
+    iterations = 0
+    for _ in range(_MAX_NEWTON):
+        f, fprime, prof = eval_f(kappa)
+        if abs(f) <= tol:
+            return kappa, prof, f, iterations
+        if f < 0.0:
+            a = kappa
+        else:
+            b = kappa
+        step = kappa - f / fprime
+        kappa = step if a < step < b else 0.5 * (a + b)
+        iterations += 1
     f_lo, _, _ = eval_f(lo)
     f_hi, _, _ = eval_f(hi)
     if not (f_lo < 0.0 < f_hi):
@@ -103,19 +119,6 @@ def _newton(
             f"no sign change over the frozen bracket [{lo:.6g}, {hi:.6g}]: "
             f"f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
-    kappa = min(max(kappa0, lo), hi)
-    iterations = 0
-    for _ in range(_MAX_NEWTON):
-        f, fprime, prof = eval_f(kappa)
-        if abs(f) <= tol:
-            return kappa, prof, f, iterations
-        if f < 0.0:
-            lo = kappa
-        else:
-            hi = kappa
-        step = kappa - f / fprime
-        kappa = step if lo < step < hi else 0.5 * (lo + hi)
-        iterations += 1
     raise ConsistencyError(
         f"saddle iteration did not reach |residual| <= {tol:g} in "
         f"{_MAX_NEWTON} steps (last residual {f:.3e})"
@@ -170,7 +173,8 @@ def solve_saddle_lower(
     t, y = float(t), float(y)
     _check_regime(t, y)
     target = lower_target(t)
-    mean0 = phi_profile(0.0, y, max_order=1, quad=quad).values[1]
+    # phi_1(0, y) in closed form: E[log D_p] = -1/(2 p^2) under Sato-Tate
+    mean0 = -0.5 * math.fsum(primes_for(y).astype(float) ** -2.0)
     if target >= mean0:
         raise RegimeError(
             f"lower-tail threshold at t={t:g} lies inside the bulk: "

@@ -192,8 +192,10 @@ def test_criterion_06_tilted_monte_carlo_at_large_threshold():
 
 
 def test_perron_at_t6_y1e3_within_budget():
-    # the 16384-node angular rule here took 147 s with a dense eigensolver
-    with Budget(60.0):
+    # a 16384-node angular rule, sized for the full 20 sqrt(kappa) log kappa
+    # cap, takes 6 s to build on 2 vCPUs; the contour sizes its rules for the
+    # trapezoid grid's extent instead and takes about 0.1 s
+    with Budget(10.0):
         lo_est, up_est = tail_perron(6.0, 1e3)
         print(f"perron (6,1e3): log V = {up_est.log_value:.6f}")
         assert lo_est.log_value == up_est.log_value < 0.0

@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from test_acceptance import Budget
 
 from eulertails.cli import CSV_COLUMNS, VERIFY_SUITES, main
 from eulertails.manifest import (
@@ -180,12 +181,13 @@ class TestTail:
 
     def test_truncation_failure_exit_code(self, capsys):
         lam = repr(0.25 * math.exp(-2.0))
-        code, _, err = run_cli(
-            capsys,
-            "tail",
-            "--t", "2", "--y", "50", "--method", "perron",
-            "--lambda", lam, "--tau-max", "3",
-        )
+        with Budget(10.0):
+            code, _, err = run_cli(
+                capsys,
+                "tail",
+                "--t", "2", "--y", "50", "--method", "perron",
+                "--lambda", lam, "--tau-max", "3",
+            )
         assert code == 2
         assert "truncation" in err
 

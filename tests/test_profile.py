@@ -208,6 +208,16 @@ class TestMomentLine:
         assert np.all(np.real(line(taus)) <= 1e-12)
 
 
+    @pytest.mark.parametrize("sigma,y", [(200.0, 1e4), (-200.0, 1e4), (2.0, 50.0)])
+    def test_grid_matches_call(self, sigma, y):
+        # the contour route's first grid: h = w/2 out to 12 w
+        line = MomentLine(sigma, y)
+        h, m = 0.5 / math.sqrt(line.phi2), 25
+        for tau0 in (0.0, 0.5 * h):
+            taus = tau0 + h * np.arange(m)
+            assert np.max(np.abs(line.grid(tau0, h, m) - line(taus))) <= 1e-12
+
+
 class TestDecay:
     def test_report_small_grid(self):
         report = decay_ratio_check(5.0, 200.0, [1.0, 10.0, 100.0])

@@ -15,9 +15,10 @@ from eulertails.constants import (
     SADDLE_BRACKET,
     T_SUPPORTED,
 )
-from eulertails.errors import DomainError, RegimeError
+from eulertails.errors import ConsistencyError, DomainError, RegimeError
 from eulertails.profile import phi_profile
 from eulertails.saddle import (
+    _newton,
     lower_target,
     saddle_expansion,
     saddle_expansion_remainder,
@@ -148,3 +149,39 @@ class TestExpansion:
             saddle_expansion(0.0, 1e5)
         with pytest.raises(DomainError):
             saddle_expansion_remainder(0.0, 1e5, 2)
+
+
+class TestNewton:
+    """The safeguarded solver on synthetic increasing functions."""
+
+    @staticmethod
+    def counted(f, fprime):
+        calls = []
+
+        def eval_f(kappa):
+            calls.append(kappa)
+            return f(kappa), fprime, None
+
+        return calls, eval_f
+
+    def test_converging_solve_skips_bracket_ends(self):
+        calls, eval_f = self.counted(lambda k: k - 0.3, 1.0)
+        kappa, _, f, iters = _newton(0.0, 0.0, 1.0, 0.5, 1e-12, eval_f)
+        assert kappa == pytest.approx(0.3, abs=1e-12)
+        assert abs(f) <= 1e-12
+        assert len(calls) == iters + 1
+        assert 0.0 not in calls and 1.0 not in calls
+
+    def test_no_root_in_bracket(self):
+        calls, eval_f = self.counted(lambda k: k + 1.0, 1.0)
+        with pytest.raises(ConsistencyError, match="no sign change"):
+            _newton(0.0, 0.0, 1.0, 0.5, 1e-12, eval_f)
+        assert calls[-2:] == [0.0, 1.0]
+
+    def test_unreached_tolerance_with_sign_change(self):
+        # a derivative far too small sends every step out of the bracket,
+        # and 30 bisections cannot reach |f| <= 1e-15
+        calls, eval_f = self.counted(lambda k: k - 1.0 / 3.0, 1e-6)
+        with pytest.raises(ConsistencyError, match="did not reach"):
+            _newton(0.0, 0.0, 1.0, 0.5, 1e-15, eval_f)
+        assert calls[-2:] == [0.0, 1.0]

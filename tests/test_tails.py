@@ -10,12 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from test_acceptance import Budget
 
 from eulertails.errors import AccuracyError, ConsistencyError, DomainError
-from eulertails.saddle import solve_saddle
+from eulertails.profile import MomentLine
+from eulertails.saddle import solve_saddle, solve_saddle_lower
 from eulertails.tails import (
     SmoothingParams,
     TailEstimate,
+    _resolve_params,
     default_smoothing,
     lower_tail_variants,
     narrow_smoothing,
@@ -234,8 +238,42 @@ class TestPerronUpper:
 
     def test_truncation_guard(self):
         params = SmoothingParams(lam=0.25 * math.exp(-2.0), tau_max=3.0)
-        with pytest.raises(AccuracyError, match="truncation"):
+        with Budget(10.0), pytest.raises(AccuracyError, match="truncation"):
             tail_perron(2.0, 50.0, params=params)
+
+
+@pytest.mark.parametrize(
+    "tail,t,y",
+    [
+        ("upper", 2.0, 50.0),
+        ("upper", 1.5, 30.0),
+        ("lower", 1.5, 30.0),
+        ("lower", 2.0, 50.0),
+    ],
+)
+def test_perron_trapezoid_matches_adaptive_quad(tail, t, y):
+    # the same integrand, built through MomentLine.__call__ and integrated
+    # by QUADPACK over [0, tau_max]
+    lower = tail == "lower"
+    sign = -1.0 if lower else 1.0
+    sol = solve_saddle_lower(t, y) if lower else solve_saddle(t, y)
+    params = _resolve_params(t, sol.kappa, None)
+    line = MomentLine(sign * sol.kappa, y, tau_max=params.tau_max)
+
+    def integrand(tau):
+        s = sol.kappa + 1j * tau
+        lam = line(np.asarray([sign * tau]))[0]
+        val = np.exp(lam + sign * 1j * tau * sol.residual)
+        return (val * smoothing_kernel(s, params) / s).real
+
+    total, _ = quad(integrand, 0.0, params.tau_max, epsabs=0.0, epsrel=1e-13, limit=500)
+    prof = sol.profile_at_kappa
+    expected = (
+        prof.values[0] - sign * sol.kappa * sol.target + math.log(total / math.pi)
+    )
+    perron = tail_perron_lower if lower else tail_perron
+    pair = perron(t, y, solution=sol)
+    assert pair[1].log_value == pytest.approx(expected, abs=1e-10)
 
 
 class TestLowerTail:
