@@ -381,7 +381,7 @@ class MomentLine:
         self.y = float(y)
         self.tau_max = float(tau_max)
         primes = primes_for(y)
-        self._buckets: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._buckets: list[tuple[np.ndarray, np.ndarray]] = []
         parts0: list[np.ndarray] = []
         parts1: list[np.ndarray] = []
         parts2: list[np.ndarray] = []
@@ -392,8 +392,9 @@ class MomentLine:
             kern = np.exp(m - mx[:, None]) * s2[None, :] * w[None, :]
             z = kern.sum(axis=1)
             mean = (kern * logd).sum(axis=1) / z
-            var = (kern * (logd - mean[:, None]) ** 2).sum(axis=1) / z
-            self._buckets.append((kern / z[:, None], logd, mean))
+            logd -= mean[:, None]  # centred in place: no second (p, n) table
+            var = (kern * logd**2).sum(axis=1) / z
+            self._buckets.append((kern / z[:, None], logd))
             parts0.append(mx + np.log(z * (2.0 / np.pi)))
             parts1.append(mean)
             parts2.append(var)
@@ -404,11 +405,11 @@ class MomentLine:
     def __call__(self, taus: np.ndarray) -> np.ndarray:
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         out = np.zeros(taus.size, dtype=complex)
-        chunk = max(1, 2_000_000 // max(sum(k.size for k, _, _ in self._buckets), 1))
+        chunk = max(1, 2_000_000 // max(sum(k.size for k, _ in self._buckets), 1))
         for lo in range(0, taus.size, chunk):
             tg = taus[lo : lo + chunk]
-            for kern, logd, mean in self._buckets:
-                phase = (logd[:, :, None] - mean[:, None, None]) * tg[None, None, :]
+            for kern, centred in self._buckets:
+                phase = centred[:, :, None] * tg[None, None, :]
                 out[lo : lo + chunk] += _log_factors(kern, np.exp(1j * phase))
         return out
 
@@ -416,8 +417,7 @@ class MomentLine:
         """Lambda(tau0 + j h), j < m, as ``self(taus)`` up to rounding: the
         phases e^{i tau (log D_p - mean)} advance by one multiply per node."""
         out = np.zeros(m, dtype=complex)
-        for kern, logd, mean in self._buckets:
-            centred = logd - mean[:, None]
+        for kern, centred in self._buckets:
             z = np.exp(1j * tau0 * centred)
             step = np.exp(1j * h * centred)
             for j in range(m):
