@@ -31,9 +31,6 @@ H_LARGE_BRACKET = (-2.30, -1.50)
 #: Weighted-moment ratio constants: E_{p,j}(s)/E_p(s) <= C_j (p/s)^j.
 WEIGHTED_RATIO_C = {0: 1.0, 1: 1.0, 2: 1.2, 3: 2.0}
 
-#: Cumulant envelopes: |phi_n(sigma, y)| <= C_n / (sigma^{n-1} log sigma), n = 3, 4.
-CUMULANT_ENVELOPE_C = {3: 4.0, 4: 10.0}
-
 #: Fast-path sentinel tolerance: closed-form vs quadrature discrepancy must
 #: stay below C times the closed forms' own error envelope.
 FAST_PATH_CHECK_C = 10.0

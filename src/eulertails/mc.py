@@ -16,10 +16,12 @@ angles, and estimates tail probabilities and moments. Two tail estimators:
 
 Reproducibility contract: samples are processed in blocks of 2^15; block b
 of a run draws from a counter-based generator seeded with the tuple
-(seed, stream_id, b). Estimates combine per-block statistics in block
-order with exact (compensated / log-sum-exp) reductions, so any
-distribution of whole blocks across workers reproduces the serial result
-bit for bit; tests exercise exactly this partition invariance.
+(seed, stream_id, b). Within a block, draws are used in consecutive row
+chunks of at most 2^17 uniforms, which give the same numbers as one draw.
+Estimates combine per-block statistics in block order with exact
+(compensated / log-sum-exp) reductions, so any distribution of whole
+blocks across workers reproduces the serial result bit for bit; tests
+exercise exactly this partition invariance.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ BLOCK = 1 << 15
 
 #: cells of the per-prime tilted proposal table
 TABLE_CELLS = 4096
+
+#: most uniforms a sampler holds at once (1 MB of doubles)
+CHUNK_DRAWS = 1 << 17
 
 _TAILS = ("upper", "lower")
 
@@ -89,21 +94,44 @@ def block_sizes(n_samples: int) -> list[int]:
     return [BLOCK] * full + ([rest] if rest else [])
 
 
+def _row_chunks(rng: np.random.Generator, n_rows: int, width: int):
+    """(rows, uniforms) over consecutive row chunks of at most CHUNK_DRAWS
+    draws; together they hold the numbers of rng.random((n_rows, width))."""
+    step = max(1, CHUNK_DRAWS // width)
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step), rng.random((min(step, n_rows - start), width))
+
+
 def invert_angle_cdf(u: np.ndarray) -> np.ndarray:
     """theta with (theta - sin theta cos theta)/pi = u, elementwise.
 
-    Newton iteration from the small-angle start (3 pi u / 2)^(1/3), folded
-    onto [0, pi/2] by the symmetry F(pi - theta) = 1 - F(theta), with a
-    bisection fallback for any entry still above 1e-12 residual.
+    Twelve Newton steps from the small-angle start (3 pi u / 2)^(1/3),
+    folded onto [0, pi/2] by the symmetry F(pi - theta) = 1 - F(theta),
+    with a bisection fallback for any entry still above 1e-12 residual. An
+    entry whose iterate repeats bit for bit (a fixed point or a 2-cycle)
+    leaves with the value its 12th iterate would have, so the result is
+    exactly that of twelve steps.
     """
     u = np.asarray(u, dtype=float)
     flip = u > 0.5
     v = np.where(flip, 1.0 - u, u)
-    th = np.cbrt(1.5 * np.pi * v)
-    for _ in range(12):
-        f = (th - np.sin(th) * np.cos(th)) / np.pi - v
-        d = 2.0 * np.sin(th) ** 2 / np.pi
-        th = np.clip(th - f / np.maximum(d, 1e-18), 0.0, 0.5 * np.pi)
+    th = np.cbrt(1.5 * np.pi * v).ravel()
+    out, at, vk, prev = np.empty(th.size), np.arange(th.size), v.ravel(), th
+    for k in range(1, 13):
+        s = np.sin(th)
+        f = (th - s * np.cos(th)) / np.pi - vk
+        d = 2.0 * s**2 / np.pi
+        new = np.clip(th - f / np.maximum(d, 1e-18), 0.0, 0.5 * np.pi)
+        bits = new.view(np.int64)
+        done = (bits == th.view(np.int64)) | (bits == prev.view(np.int64))
+        # a repeat persists, so retire once a quarter of the entries repeat;
+        # x_12 of a 2-cycle {x_k-1, x_k} is its even-indexed member
+        if 4 * np.count_nonzero(done) >= done.size:
+            out[at[done]] = (th if k % 2 else new)[done]
+            at, vk, th, new = (a[~done] for a in (at, vk, th, new))
+        prev, th = th, new
+    out[at] = th
+    th = out.reshape(u.shape)
     bad = np.abs((th - np.sin(th) * np.cos(th)) / np.pi - v) > 1e-12
     if np.any(bad):
         lo = np.zeros(np.count_nonzero(bad))
@@ -114,7 +142,6 @@ def invert_angle_cdf(u: np.ndarray) -> np.ndarray:
             high = (mid - np.sin(mid) * np.cos(mid)) / np.pi > vb
             hi = np.where(high, mid, hi)
             lo = np.where(high, lo, mid)
-        th = th.copy()
         th[bad] = 0.5 * (lo + hi)
     return np.where(flip, np.pi - th, th)
 
@@ -152,6 +179,14 @@ def random_product(
     return float(_log_product(primes, theta))
 
 
+def _plain_log_l(primes: np.ndarray, rng: np.random.Generator, n_rows: int) -> np.ndarray:
+    """log L of n_rows plain samples, drawn and inverted in row chunks."""
+    log_l = np.empty(n_rows)
+    for rows, u in _row_chunks(rng, n_rows, primes.size):
+        log_l[rows] = _log_product(primes, invert_angle_cdf(u))
+    return log_l
+
+
 # ---------------------------------------------------------------------------
 # Plain estimators.
 # ---------------------------------------------------------------------------
@@ -173,9 +208,7 @@ def empirical_moment(s: float, config: SamplerConfig) -> McEstimate:
     sums: list[float] = []
     sums_sq: list[float] = []
     for block, n_b in enumerate(block_sizes(config.n_samples)):
-        rng = rng_for_block(config, block)
-        theta = invert_angle_cdf(rng.random((n_b, primes.size)))
-        vals = np.exp(s * _log_product(primes, theta))
+        vals = np.exp(s * _plain_log_l(primes, rng_for_block(config, block), n_b))
         sums.append(float(vals.sum()))
         sums_sq.append(float((vals * vals).sum()))
     n = config.n_samples
@@ -201,9 +234,7 @@ def plain_block_hits(
         raise DomainError(f"block must be in 0..{len(sizes) - 1}")
     thr = _threshold(t, tail)
     primes = primes_for(config.y)
-    rng = rng_for_block(config, block)
-    theta = invert_angle_cdf(rng.random((sizes[block], primes.size)))
-    logl = _log_product(primes, theta)
+    logl = _plain_log_l(primes, rng_for_block(config, block), sizes[block])
     hits = logl >= thr if tail == "upper" else logl <= thr
     return int(np.count_nonzero(hits))
 
@@ -250,32 +281,62 @@ class TiltedTables:
     uniform 4096-cell grid, floored at a tiny positive value so the
     proposal support is all of [0, pi]; ``log_q`` stores the exact log
     proposal density per cell, which is what the importance weights use.
+    ``guide[i, b]`` counts the ``cum[i]`` entries <= b/4096, bracketing
+    the cell of any uniform in [b/4096, (b+1)/4096).
     """
 
     def __init__(self, y: float, kappa: float) -> None:
         self.y = float(y)
         self.kappa = float(kappa)
         self.primes = primes_for(y)
-        p = self.primes[:, None].astype(float)
         edges = np.linspace(0.0, np.pi, TABLE_CELLS + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        delta = np.pi / TABLE_CELLS
+        self.delta = delta = np.pi / TABLE_CELLS
+        shape, width = (self.primes.size, TABLE_CELLS), TABLE_CELLS + 2
+        self.cum, self.log_q = np.empty(shape), np.empty(shape)
+        self.guide = np.empty((shape[0], TABLE_CELLS + 1), dtype=np.int32)
+        for start in range(0, shape[0], CHUNK_DRAWS // TABLE_CELLS):
+            rows = slice(start, start + CHUNK_DRAWS // TABLE_CELLS)
+            p = self.primes[rows, None].astype(float)
+            g_edges, g_mids = (
+                kappa * -np.log(1.0 - 2.0 * np.cos(x)[None, :] / p + p**-2.0)
+                for x in (edges, mids)
+            )
+            g_max = g_edges.max(axis=1, keepdims=True)
+            f_edges = np.exp(g_edges - g_max) * np.sin(edges)[None, :] ** 2
+            f_mids = np.exp(g_mids - g_max) * np.sin(mids)[None, :] ** 2
+            masses = (delta / 6.0) * (f_edges[:, :-1] + 4.0 * f_mids + f_edges[:, 1:])
+            masses = np.maximum(masses, 1e-300)
+            total = masses.sum(axis=1, keepdims=True)
+            cum = self.cum[rows] = np.cumsum(masses, axis=1) / total
+            self.log_q[rows] = np.log(masses) - np.log(total) - math.log(delta)
+            # cum <= b/4096 iff ceil(4096 cum) <= b (4096 cum is exact); the
+            # ceilings, at most 4097, are counted in 4098 bins per row
+            first = np.ceil(cum * TABLE_CELLS).astype(np.intp)
+            first += width * np.arange(len(cum))[:, None]
+            counts = np.bincount(first.ravel(), minlength=len(cum) * width)
+            self.guide[rows] = counts.reshape(-1, width).cumsum(axis=1)[:, :-1]
 
-        def tilted_log(theta: np.ndarray) -> np.ndarray:
-            logd = -np.log(1.0 - 2.0 * np.cos(theta)[None, :] / p + p**-2.0)
-            return kappa * logd
-
-        g_edges = tilted_log(edges)
-        g_mids = tilted_log(mids)
-        g_max = g_edges.max(axis=1, keepdims=True)
-        f_edges = np.exp(g_edges - g_max) * np.sin(edges)[None, :] ** 2
-        f_mids = np.exp(g_mids - g_max) * np.sin(mids)[None, :] ** 2
-        masses = (delta / 6.0) * (f_edges[:, :-1] + 4.0 * f_mids + f_edges[:, 1:])
-        masses = np.maximum(masses, 1e-300)
-        total = masses.sum(axis=1, keepdims=True)
-        self.cum = np.cumsum(masses, axis=1) / total
-        self.log_q = np.log(masses) - np.log(total) - math.log(delta)
-        self.delta = delta
+    def cells(self, u: np.ndarray) -> np.ndarray:
+        """Proposal cell of every uniform in u, shape (primes, n): the count
+        searchsorted(cum[i], u[i], side="right"), capped at the last cell."""
+        row = np.arange(len(u))[:, None]
+        at = (u * TABLE_CELLS).astype(np.intp) + (TABLE_CELLS + 1) * row  # u*4096 exact
+        lo, hi = self.guide.ravel()[at].ravel(), self.guide.ravel()[at + 1].ravel()
+        # cum[i] entries below lo are <= u and those from hi on are > u;
+        # one probe at lo settles every bracket of width 0 or 1
+        cum, u = self.cum.ravel(), u.ravel()
+        base = np.repeat(np.arange(0, cum.size, TABLE_CELLS), len(u) // len(row))
+        up = (cum[base + np.minimum(lo, TABLE_CELLS - 1)] <= u) & (lo < hi)
+        lo += up
+        todo = np.flatnonzero(up & (lo < hi))
+        while todo.size:
+            mid = (lo[todo] + hi[todo]) >> 1
+            go = cum[base[todo] + mid] <= u[todo]
+            lo[todo] = np.where(go, mid + 1, lo[todo])
+            hi[todo] = np.where(go, hi[todo], mid)
+            todo = todo[lo[todo] < hi[todo]]
+        return np.minimum(lo, TABLE_CELLS - 1).reshape(at.shape)
 
 
 def tilted_block_stats(
@@ -293,21 +354,23 @@ def tilted_block_stats(
         raise DomainError(f"block must be in 0..{len(sizes) - 1}")
     n_b = sizes[block]
     thr = _threshold(t, tail)
-    rng = rng_for_block(config, block)
-    u = rng.random((n_b, tables.primes.size, 2))
-    log_w = np.zeros(n_b)
-    log_l = np.zeros(n_b)
+    primes = tables.primes
+    p, p_m2 = primes[:, None].astype(float), np.array([q**-2.0 for q in primes])[:, None]
+    cell_at = TABLE_CELLS * np.arange(primes.size)[:, None]
+    log_w, log_l = np.empty(n_b), np.empty(n_b)
     log_two_over_pi = math.log(2.0 / math.pi)
-    for i, p in enumerate(tables.primes):
-        cell = np.minimum(
-            np.searchsorted(tables.cum[i], u[:, i, 0], side="right"),
-            TABLE_CELLS - 1,
-        )
-        theta = (cell + u[:, i, 1]) * tables.delta
+    for rows, u in _row_chunks(rng_for_block(config, block), n_b, 2 * primes.size):
+        # (primes, rows) layout; x - (q - s) == x + (s - q), so subtracting
+        # prime by prime from 0 repeats the per-prime sums bit for bit
+        u_cell, u_off = np.ascontiguousarray(u.reshape(-1, primes.size, 2).T)
+        cell = tables.cells(u_cell)
+        theta = (cell + u_off) * tables.delta
         with np.errstate(divide="ignore"):
             log_st = log_two_over_pi + 2.0 * np.log(np.sin(theta))
-        log_w += log_st - tables.log_q[i][cell]
-        log_l -= np.log(1.0 - 2.0 * np.cos(theta) / p + p**-2.0)
+        neg_w = tables.log_q.ravel()[cell + cell_at] - log_st
+        log_w[rows] = np.subtract.reduce(neg_w, axis=0, initial=0.0)
+        log_d = np.log(1.0 - 2.0 * np.cos(theta) / p + p_m2)
+        log_l[rows] = np.subtract.reduce(log_d, axis=0, initial=0.0)
     hits = log_l >= thr if tail == "upper" else log_l <= thr
     lw = log_w[hits]
     if lw.size == 0:

@@ -6,13 +6,16 @@ legitimately exceeded its 4-sigma budget, which did not happen).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_acceptance import Budget
 
 from eulertails.errors import AccuracyError, DomainError
 from eulertails.mc import (
     BLOCK,
+    TABLE_CELLS,
     SamplerConfig,
     TiltedTables,
     block_sizes,
@@ -28,11 +31,93 @@ from eulertails.mc import (
 )
 from eulertails.primes import mertens_log_sum, primes_for
 from eulertails.profile import phi_profile
+from eulertails.saddle import lower_target, solve_saddle, upper_target
 from eulertails.tails import tail_saddle, tail_saddle_lower
 
 
 def angle_cdf(theta):
     return (theta - np.sin(theta) * np.cos(theta)) / math.pi
+
+
+# Reference copies of the one-shot samplers: every block drawn in one piece,
+# twelve Newton steps for every angle, and one searchsorted per prime.
+
+
+def _ref_invert_angle_cdf(u):
+    u = np.asarray(u, dtype=float)
+    flip = u > 0.5
+    v = np.where(flip, 1.0 - u, u)
+    th = np.cbrt(1.5 * np.pi * v)
+    for _ in range(12):
+        f = (th - np.sin(th) * np.cos(th)) / np.pi - v
+        d = 2.0 * np.sin(th) ** 2 / np.pi
+        th = np.clip(th - f / np.maximum(d, 1e-18), 0.0, 0.5 * np.pi)
+    bad = np.abs((th - np.sin(th) * np.cos(th)) / np.pi - v) > 1e-12
+    if np.any(bad):
+        lo = np.zeros(np.count_nonzero(bad))
+        hi = np.full_like(lo, 0.5 * np.pi)
+        vb = v[bad]
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            high = (mid - np.sin(mid) * np.cos(mid)) / np.pi > vb
+            hi = np.where(high, mid, hi)
+            lo = np.where(high, lo, mid)
+        th = th.copy()
+        th[bad] = 0.5 * (lo + hi)
+    return np.where(flip, np.pi - th, th)
+
+
+def _ref_plain_log_l(cfg, block):
+    primes = primes_for(cfg.y)
+    u = rng_for_block(cfg, block).random((block_sizes(cfg.n_samples)[block], primes.size))
+    p = primes.astype(float)
+    theta = _ref_invert_angle_cdf(u)
+    return (-np.log(1.0 - 2.0 * np.cos(theta) / p + p**-2.0)).sum(axis=-1)
+
+
+def _ref_tables(y, kappa):
+    p = primes_for(y)[:, None].astype(float)
+    edges = np.linspace(0.0, np.pi, TABLE_CELLS + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    delta = np.pi / TABLE_CELLS
+
+    def tilted_log(theta):
+        return kappa * -np.log(1.0 - 2.0 * np.cos(theta)[None, :] / p + p**-2.0)
+
+    g_edges, g_mids = tilted_log(edges), tilted_log(mids)
+    g_max = g_edges.max(axis=1, keepdims=True)
+    f_edges = np.exp(g_edges - g_max) * np.sin(edges)[None, :] ** 2
+    f_mids = np.exp(g_mids - g_max) * np.sin(mids)[None, :] ** 2
+    masses = (delta / 6.0) * (f_edges[:, :-1] + 4.0 * f_mids + f_edges[:, 1:])
+    masses = np.maximum(masses, 1e-300)
+    total = masses.sum(axis=1, keepdims=True)
+    return np.cumsum(masses, axis=1) / total, np.log(masses) - np.log(total) - math.log(delta)
+
+
+def _ref_tilted_block_stats(t, tables, cfg, block, tail):
+    n_b = block_sizes(cfg.n_samples)[block]
+    thr = upper_target(t) if tail == "upper" else lower_target(t)
+    u = rng_for_block(cfg, block).random((n_b, tables.primes.size, 2))
+    log_w = np.zeros(n_b)
+    log_l = np.zeros(n_b)
+    log_two_over_pi = math.log(2.0 / math.pi)
+    for i, p in enumerate(tables.primes):
+        cell = np.minimum(
+            np.searchsorted(tables.cum[i], u[:, i, 0], side="right"),
+            TABLE_CELLS - 1,
+        )
+        theta = (cell + u[:, i, 1]) * tables.delta
+        with np.errstate(divide="ignore"):
+            log_st = log_two_over_pi + 2.0 * np.log(np.sin(theta))
+        log_w += log_st - tables.log_q[i][cell]
+        log_l -= np.log(1.0 - 2.0 * np.cos(theta) / p + p**-2.0)
+    lw = log_w[log_l >= thr if tail == "upper" else log_l <= thr]
+    if lw.size == 0:
+        return -math.inf, -math.inf, 0, n_b
+    m = float(np.max(lw))
+    lse = m + math.log(float(np.exp(lw - m).sum()))
+    lse2 = 2.0 * m + math.log(float(np.exp(2.0 * (lw - m)).sum()))
+    return lse, lse2, int(lw.size), n_b
 
 
 class TestSamplerConfig:
@@ -264,6 +349,100 @@ class TestTiltedTail:
         est = estimate_tail_tilted(1.5, 2.486801, cfg, tail="lower")
         ref = tail_saddle_lower(1.5, 50.0).log_value
         assert abs(est.mean - ref) <= 4 * est.stderr
+
+
+class TestChunkedSamplers:
+    """Row chunks, retired Newton entries and the guided cell search keep
+    every bit of the one-shot samplers kept above."""
+
+    def test_invert_matches_twelve_newton_steps(self):
+        u = np.random.default_rng(21).random(1 << 20)
+        edge = np.array(
+            [0.0, 0.5, 1.0, 5e-324, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
+        )
+        for arr in (u, u**12, 1.0 - u**12, edge, u[:6000].reshape(40, 150)):
+            got, ref = invert_angle_cdf(arr), _ref_invert_angle_cdf(arr)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "t,y,n,tail",
+        [
+            (1.5, 30.0, BLOCK + 5, "upper"),
+            (1.5, 50.0, BLOCK + 777, "lower"),
+            (1.5, 1e3, 3000, "upper"),
+        ],
+    )
+    def test_plain_matches_one_shot_draw(self, t, y, n, tail):
+        cfg = SamplerConfig(seed=31, n_samples=n, y=y)
+        thr = upper_target(t) if tail == "upper" else lower_target(t)
+        for block in range(len(block_sizes(n))):
+            log_l = _ref_plain_log_l(cfg, block)
+            hits = log_l >= thr if tail == "upper" else log_l <= thr
+            assert plain_block_hits(t, cfg, block, tail) == np.count_nonzero(hits)
+
+    @pytest.mark.parametrize("s", (-3.0, 0.5, 2.0))
+    def test_moment_matches_one_shot_draw(self, s):
+        cfg = SamplerConfig(seed=32, n_samples=BLOCK + 300, y=50.0)
+        vals = [np.exp(s * _ref_plain_log_l(cfg, b)) for b in (0, 1)]
+        mean = math.fsum(float(v.sum()) for v in vals) / cfg.n_samples
+        assert empirical_moment(s, cfg).mean == mean
+
+    @pytest.mark.parametrize("y,kappa", [(50.0, 9.8), (30.0, -3.0), (1e3, 0.05), (1e3, 60.0)])
+    def test_tables_match_one_shot_build(self, y, kappa):
+        tab = TiltedTables(y, kappa)
+        cum, log_q = _ref_tables(y, kappa)
+        assert np.array_equal(tab.cum, cum)
+        assert np.array_equal(tab.log_q, log_q)
+        assert tab.guide.dtype == np.int32
+        grid = np.arange(TABLE_CELLS + 1) / TABLE_CELLS
+        for i in range(0, tab.primes.size, 7):
+            assert np.array_equal(tab.guide[i], np.searchsorted(cum[i], grid, side="right"))
+
+    @pytest.mark.parametrize(
+        "t,y,kappa,n,tail",
+        [
+            (2.0, 50.0, 9.799170, BLOCK + 1, "upper"),
+            (1.5, 50.0, 2.486801, 3001, "lower"),
+            (1e-130, 50.0, 2.0, 2000, "upper"),  # every sample a hit
+            (3.0, 50.0, 0.05, 2000, "upper"),  # no hits
+            (3.0, 1e3, None, 600, "upper"),
+            (2.0, 1e3, 60.0, 600, "lower"),
+        ],
+    )
+    def test_tilted_matches_per_prime_loop(self, t, y, kappa, n, tail):
+        if kappa is None:
+            kappa = solve_saddle(t, y).kappa
+        tables = TiltedTables(y, kappa if tail == "upper" else -kappa)
+        cfg = SamplerConfig(seed=33, n_samples=n, y=y)
+        for block in range(len(block_sizes(n))):
+            got = tilted_block_stats(t, tables, cfg, block, tail)
+            assert got == _ref_tilted_block_stats(t, tables, cfg, block, tail)
+
+    def test_one_row_blocks_sum_in_prime_order(self):
+        # np.add.reduce(axis=0) sums a (primes, 1) chunk pairwise, not in order
+        tables = TiltedTables(1e3, 2.0)
+        for seed in range(8):
+            cfg = SamplerConfig(seed=seed, n_samples=BLOCK + 1, y=1e3)
+            got = tilted_block_stats(1e-130, tables, cfg, 1)
+            assert got == _ref_tilted_block_stats(1e-130, tables, cfg, 1, "upper")
+
+    def test_block_memory_is_bounded(self):
+        # one-shot draws at y = 1e4 took 80 MB (tilted) and 40 MB (plain)
+        cfg = SamplerConfig(seed=34, n_samples=4096, y=1e4)
+        tables = TiltedTables(1e4, solve_saddle(3.0, 1e4).kappa)
+        with Budget(10.0):
+            for run in (
+                lambda: tilted_block_stats(3.0, tables, cfg, 0),
+                lambda: plain_block_hits(3.0, cfg, 0),
+            ):
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 class TestTiltedTables:
