@@ -52,7 +52,6 @@ from .mc import (
     empirical_moment,
     estimate_tail_plain,
     estimate_tail_tilted,
-    random_product,
     sample_angle,
 )
 from .primes import mertens_log_sum, primes_for, primes_up_to
@@ -70,7 +69,6 @@ from .saddle import (
     SaddleSolution,
     lower_target,
     saddle_expansion,
-    saddle_expansion_remainder,
     solve_saddle,
     solve_saddle_lower,
     upper_target,
@@ -79,8 +77,6 @@ from .tails import (
     SmoothingParams,
     TailEstimate,
     default_smoothing,
-    lower_tail_variants,
-    narrow_smoothing,
     smoothing_kernel,
     tail_expansion,
     tail_perron,
@@ -133,19 +129,15 @@ __all__ = [
     "local_moment_log",
     "local_moment_weighted",
     "log_d_p",
-    "lower_tail_variants",
     "lower_target",
     "mertens_log_sum",
     "moment_complex",
-    "narrow_smoothing",
     "phi_asymptotic",
     "phi_asymptotic_remainder",
     "phi_profile",
     "primes_for",
     "primes_up_to",
-    "random_product",
     "saddle_expansion",
-    "saddle_expansion_remainder",
     "sample_angle",
     "smoothing_kernel",
     "solve_saddle",

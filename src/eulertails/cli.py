@@ -41,15 +41,13 @@ from .mc import (
 )
 from .profile import moment_complex, phi_profile
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
-from .saddle import SaddleSolution, solve_saddle, solve_saddle_lower
+from .saddle import SaddleSolution, solve_saddle
 from .tails import (
     SmoothingParams,
     TailEstimate,
     tail_expansion,
     tail_perron,
-    tail_perron_lower,
     tail_saddle,
-    tail_saddle_lower,
 )
 
 CSV_COLUMNS = ("t", "y", "method", "J", "log_value", "error_indicator", "seed")
@@ -266,8 +264,7 @@ def _solution_payload(sol: SaddleSolution) -> dict:
 def cmd_saddle(args) -> int:
     start = time.monotonic()
     quad = _quad_from(args)
-    solver = solve_saddle_lower if args.tail == "lower" else solve_saddle
-    sol = solver(args.t, args.y, tol=args.tol, quad=quad)
+    sol = solve_saddle(args.t, args.y, tol=args.tol, quad=quad, tail=args.tail)
     payload = _solution_payload(sol)
     _emit([payload], tuple(payload.keys()), args, _manifest(args, start))
     return 0
@@ -302,13 +299,12 @@ def _tail_rows(args, t: float, methods: list[str]) -> list[dict]:
     )
     sol = None
     if need_saddle:
-        solver = solve_saddle_lower if tail == "lower" else solve_saddle
-        sol = solver(t, y, quad=quad)
+        sol = solve_saddle(t, y, quad=quad, tail=tail)
     rows = []
     for method in methods:
         if method == "saddle":
-            fn = tail_saddle_lower if tail == "lower" else tail_saddle
-            rows.append(_estimate_row(fn(t, y, solution=sol, quad=quad)))
+            est = tail_saddle(t, y, solution=sol, quad=quad, tail=tail)
+            rows.append(_estimate_row(est))
         elif method == "expansion":
             if tail == "lower":
                 raise DomainError(
@@ -318,8 +314,8 @@ def _tail_rows(args, t: float, methods: list[str]) -> list[dict]:
             est = tail_expansion(t, y, J=args.J, solution=sol, quad=quad)
             rows.append(_estimate_row(est))
         elif method == "perron":
-            fn = tail_perron_lower if tail == "lower" else tail_perron
-            _, upper_est = fn(t, y, params=_smoothing_from(args), solution=sol, quad=quad)
+            params = _smoothing_from(args)
+            _, upper_est = tail_perron(t, y, params, solution=sol, quad=quad, tail=tail)
             rows.append(_estimate_row(upper_est))
         elif method == "mc":
             rows.append(_mc_row(args, t, y, tail, lambda: sol.kappa))
@@ -348,8 +344,8 @@ def cmd_mc(args) -> int:
     start = time.monotonic()
     sol_kappa = None
     if getattr(args, "tilt", None) == "auto":
-        solver = solve_saddle_lower if args.tail == "lower" else solve_saddle
-        sol_kappa = solver(args.t, args.y, quad=_quad_from(args)).kappa
+        sol = solve_saddle(args.t, args.y, quad=_quad_from(args), tail=args.tail)
+        sol_kappa = sol.kappa
     rows = [_mc_row(args, args.t, args.y, args.tail, sol_kappa)]
     _emit(rows, CSV_COLUMNS, args, _manifest(args, start))
     return 0

@@ -47,27 +47,40 @@ class LocalDerivatives:
     log_value: float = 0.0  #: log E_p(sigma), always finite
 
 
+def inv_d_p(p, cos_theta):
+    """1/D_p = 1 - 2 cos(theta)/p + p^-2, the one place it is written.
+
+    p keeps the caller's type (int, float or array): numpy's array power
+    and Python's float power round p^-2 differently at some primes, so
+    coercing p here would move bits.
+    """
+    return 1.0 - 2.0 * cos_theta / p + p ** (-2.0)
+
+
 def d_p(p: int | float, theta) -> np.ndarray | float:
     """Local factor D_p(theta)."""
     if p < 2:
         raise DomainError("d_p requires p >= 2")
-    theta = np.asarray(theta, dtype=float)
-    out = 1.0 / (1.0 - 2.0 * np.cos(theta) / p + p ** (-2.0))
+    out = 1.0 / inv_d_p(p, np.cos(np.asarray(theta, dtype=float)))
     return float(out) if out.ndim == 0 else out
 
 
-def log_d_p(p: int | float, theta) -> np.ndarray | float:
-    """log D_p(theta), computed without forming the reciprocal."""
-    theta = np.asarray(theta, dtype=float)
-    out = -np.log(1.0 - 2.0 * np.cos(theta) / p + p ** (-2.0))
+def log_d_p(p: int | float | np.ndarray, theta) -> np.ndarray | float:
+    """log D_p(theta), computed without forming the reciprocal; p may be an
+    array broadcasting against theta."""
+    out = -np.log(inv_d_p(p, np.cos(np.asarray(theta, dtype=float))))
     return float(out) if out.ndim == 0 else out
 
 
-def nodes_for(p: float, sigma: float = 0.0, tau: float = 0.0) -> int:
-    """Gauss-Legendre size resolving the |sigma|-tilt peak and tau-phase."""
+def nodes_for(
+    p: int | float | np.ndarray, sigma: float = 0.0, tau: float = 0.0
+) -> int | np.ndarray:
+    """Gauss-Legendre size resolving the |sigma|-tilt peak and tau-phase;
+    elementwise (an int array) for an array p."""
     peak = 12.0 * np.sqrt(max(abs(sigma), 1.0) / p)
     osc = 4.8 * abs(tau) / p
-    return int(min(np.ceil(48 + peak + osc), 20000))
+    n = np.minimum(np.ceil(48.0 + peak + osc), 20000).astype(int)
+    return int(n) if n.ndim == 0 else n
 
 
 def _angular_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

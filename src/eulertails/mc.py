@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
+from .local import inv_d_p, log_d_p
 from .primes import primes_for
-from .saddle import lower_target, upper_target
+from .saddle import TAILS, lower_target, upper_target
 
 #: samples per RNG block (fixed partition of sample indices to substreams)
 BLOCK = 1 << 15
@@ -43,8 +44,6 @@ TABLE_CELLS = 4096
 
 #: most uniforms a sampler holds at once (1 MB of doubles)
 CHUNK_DRAWS = 1 << 17
-
-_TAILS = ("upper", "lower")
 
 
 @dataclass(frozen=True)
@@ -155,28 +154,7 @@ def sample_angle(rng: np.random.Generator, size: int | None = None):
 
 def _log_product(primes: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """log L rows for an (n, len(primes)) matrix of angles."""
-    p = np.asarray(primes, dtype=float)
-    terms = -np.log(1.0 - 2.0 * np.cos(theta) / p + p**-2.0)
-    return terms.sum(axis=-1)
-
-
-def random_product(
-    primes: np.ndarray,
-    rng: np.random.Generator,
-    theta: np.ndarray | None = None,
-) -> float:
-    """One draw of log L(1, y) over the given prime table.
-
-    ``theta`` forces the angles (test hook, e.g. all zeros for the maximal
-    product 2 sum_p -log(1 - 1/p)).
-    """
-    primes = np.asarray(primes)
-    if primes.size == 0:
-        raise DomainError("prime table must be nonempty")
-    if theta is None:
-        theta = invert_angle_cdf(rng.random(primes.size))
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), (primes.size,))
-    return float(_log_product(primes, theta))
+    return log_d_p(np.asarray(primes, dtype=float), theta).sum(axis=-1)
 
 
 def _plain_log_l(primes: np.ndarray, rng: np.random.Generator, n_rows: int) -> np.ndarray:
@@ -220,8 +198,8 @@ def empirical_moment(s: float, config: SamplerConfig) -> McEstimate:
 
 
 def _threshold(t: float, tail: str) -> float:
-    if tail not in _TAILS:
-        raise DomainError(f"tail must be one of {_TAILS}")
+    if tail not in TAILS:
+        raise DomainError(f"tail must be one of {TAILS}")
     return upper_target(t) if tail == "upper" else lower_target(t)
 
 
@@ -298,10 +276,7 @@ class TiltedTables:
         for start in range(0, shape[0], CHUNK_DRAWS // TABLE_CELLS):
             rows = slice(start, start + CHUNK_DRAWS // TABLE_CELLS)
             p = self.primes[rows, None].astype(float)
-            g_edges, g_mids = (
-                kappa * -np.log(1.0 - 2.0 * np.cos(x)[None, :] / p + p**-2.0)
-                for x in (edges, mids)
-            )
+            g_edges, g_mids = (kappa * log_d_p(p, x[None, :]) for x in (edges, mids))
             g_max = g_edges.max(axis=1, keepdims=True)
             f_edges = np.exp(g_edges - g_max) * np.sin(edges)[None, :] ** 2
             f_mids = np.exp(g_mids - g_max) * np.sin(mids)[None, :] ** 2
@@ -355,7 +330,7 @@ def tilted_block_stats(
     n_b = sizes[block]
     thr = _threshold(t, tail)
     primes = tables.primes
-    p, p_m2 = primes[:, None].astype(float), np.array([q**-2.0 for q in primes])[:, None]
+    p = primes[:, None].astype(float)
     cell_at = TABLE_CELLS * np.arange(primes.size)[:, None]
     log_w, log_l = np.empty(n_b), np.empty(n_b)
     log_two_over_pi = math.log(2.0 / math.pi)
@@ -369,7 +344,7 @@ def tilted_block_stats(
             log_st = log_two_over_pi + 2.0 * np.log(np.sin(theta))
         neg_w = tables.log_q.ravel()[cell + cell_at] - log_st
         log_w[rows] = np.subtract.reduce(neg_w, axis=0, initial=0.0)
-        log_d = np.log(1.0 - 2.0 * np.cos(theta) / p + p_m2)
+        log_d = np.log(inv_d_p(p, np.cos(theta)))
         log_l[rows] = np.subtract.reduce(log_d, axis=0, initial=0.0)
     hits = log_l >= thr if tail == "upper" else log_l <= thr
     lw = log_w[hits]
@@ -398,8 +373,8 @@ def estimate_tail_tilted(
         kappa = config.tilt
     if kappa is None:
         raise DomainError("estimate_tail_tilted needs kappa (or config.tilt)")
-    if tail not in _TAILS:
-        raise DomainError(f"tail must be one of {_TAILS}")
+    if tail not in TAILS:
+        raise DomainError(f"tail must be one of {TAILS}")
     signed = kappa if tail == "upper" else -kappa
     tables = TiltedTables(config.y, signed)
     stats = [

@@ -43,7 +43,7 @@ from .constants import (
 from .coefficients import coefficient_b
 from .errors import AccuracyError, ConsistencyError, DomainError
 from .limitshape import series_s
-from .local import FAST_PATH_FACTOR, local_log_derivatives
+from .local import FAST_PATH_FACTOR, local_log_derivatives, log_d_p, nodes_for
 from .primes import primes_for
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, panel_nodes
 
@@ -75,13 +75,6 @@ class ProfileDerivatives:
         return self.values[n]
 
 
-def _nodes_vec(p: np.ndarray, sigma: float, tau_max: float = 0.0) -> np.ndarray:
-    """Vectorized Gauss-Legendre size policy (see local.nodes_for)."""
-    smax = max(abs(sigma), 1.0)
-    n = np.ceil(48.0 + 12.0 * np.sqrt(smax / p) + 4.8 * tau_max / p)
-    return np.minimum(n, 20000).astype(int)
-
-
 def _layout(
     primes: np.ndarray, sigma: float, quad: QuadratureSpec, tau_max: float = 0.0
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -89,7 +82,7 @@ def _layout(
     if quad.nodes is not None:
         idx = np.arange(primes.size)
         return [(idx, primes.astype(float), quad.nodes)]
-    want = _nodes_vec(primes, sigma, tau_max)
+    want = nodes_for(primes, sigma, tau_max)
     # round the node count up to the next power of two (floor 64) so that
     # only a handful of distinct rules are instantiated
     pow2 = np.maximum(64, 2 ** np.ceil(np.log2(want)).astype(int))
@@ -103,9 +96,7 @@ def _layout(
 def _bucket_tables(pvec: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """sigma-independent (weights, sin^2, log D_p) tables for one bucket."""
     th, w = panel_nodes(0.0, np.pi, n)
-    pv = pvec[:, None]
-    logd = -np.log(1.0 - 2.0 * np.cos(th)[None, :] / pv + pv**-2.0)
-    return w, np.sin(th) ** 2, logd
+    return w, np.sin(th) ** 2, log_d_p(pvec[:, None], th[None, :])
 
 
 def _bucket_sums(
@@ -332,10 +323,9 @@ def moment_complex(
     for p in primes:
         log_d0 = -2.0 * math.log1p(-1.0 / p)
         steps = int(np.ceil(abs(tau) * log_d0 / 0.5)) + 2
-        n = _nodes_vec(np.asarray([p], dtype=float), sigma, abs(tau))[0]
-        th, w = panel_nodes(0.0, np.pi, int(n))
+        th, w = panel_nodes(0.0, np.pi, nodes_for(p, sigma, tau))
         s2 = np.sin(th) ** 2
-        logd = -np.log(1.0 - 2.0 * np.cos(th) / p + p**-2.0)
+        logd = log_d_p(p, th)
         m = sigma * logd
         mx = float(np.max(m))
         kern = np.exp(m - mx) * s2 * w

@@ -4,8 +4,8 @@ Two schemes are supported everywhere a :class:`QuadratureSpec` is accepted:
 
 * ``gauss_legendre_fixed`` -- fixed-node Gauss-Legendre panels (the default;
   all integrands here are piecewise analytic, so convergence is geometric);
-* ``adaptive_simpson`` -- classic adaptive Simpson, used as an independent
-  verification scheme and for contour integration in the conjugate variable.
+* ``adaptive_simpson`` -- classic adaptive Simpson, used for the expansion
+  coefficient integrals and as an independent verification scheme.
 
 Sums that accumulate many per-prime contributions use compensated (Kahan)
 summation in a fixed index order so results are bitwise reproducible.
@@ -236,12 +236,3 @@ def kahan_sum(values: np.ndarray) -> float:
         comp = (t - total) - y
         total = t
     return total
-
-
-def logsumexp_w(log_terms: np.ndarray, weights: np.ndarray) -> float:
-    """log(sum_i w_i exp(l_i)) with positive weights, overflow-safe."""
-    log_terms = np.asarray(log_terms, dtype=float)
-    m = np.max(log_terms)
-    if not np.isfinite(m):
-        return m
-    return m + np.log(np.dot(np.exp(log_terms - m), weights))

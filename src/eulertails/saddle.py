@@ -16,10 +16,11 @@ phi_1(0, y); for t close to 1 it does not (the lower threshold then sits
 inside the bulk), and the solver reports a regime error rather than a
 spurious root.
 
-Both solvers run safeguarded Newton (kappa <- kappa - (phi_1 - target) /
-phi_2) inside a frozen bracket kappa ~ e^t, initialized for the upper tail
-at the closed-form expansion kappa ~ e^{t - gamma_0}(1 + sum_j gamma_j /
-t^j), whose coefficients come from :mod:`.coefficients`.
+One solver covers both tails, chosen by ``tail="upper"|"lower"``: it runs
+safeguarded Newton (kappa <- kappa - (phi_1 - target) / phi_2, mirrored on
+the negative axis) inside a frozen bracket kappa ~ e^t, initialized for the
+upper tail at the closed-form expansion kappa ~ e^{t - gamma_0}(1 + sum_j
+gamma_j / t^j), whose coefficients come from :mod:`.coefficients`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .errors import ConsistencyError, DomainError, RegimeError
 from .primes import primes_for
 from .profile import MAX_ORDER, ProfileDerivatives, phi_profile
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
+
+#: the two tails: Phi ("upper") and Psi ("lower")
+TAILS = ("upper", "lower")
 
 #: default residual tolerance on phi_1 at the returned saddle
 DEFAULT_TOL = 1e-10
@@ -84,7 +88,6 @@ def _check_regime(t: float, y: float) -> None:
 
 
 def _newton(
-    target: float,
     lo: float,
     hi: float,
     kappa0: float,
@@ -130,32 +133,16 @@ def solve_saddle(
     y: float,
     tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = DEFAULT_QUAD,
+    tail: str = "upper",
 ) -> SaddleSolution:
-    """Upper-tail saddle kappa(t, y) with phi_1(kappa, y) = 2(log t + gamma)."""
-    t, y = float(t), float(y)
-    _check_regime(t, y)
-    target = upper_target(t)
-    c_lo, c_hi = SADDLE_BRACKET
-    lo, hi = c_lo * math.exp(t), c_hi * math.exp(t)
+    """Saddle kappa(t, y) > 0 of one tail: phi_1(kappa, y) = upper_target(t),
+    or with ``tail="lower"`` phi_1(-kappa, y) = lower_target(t).
 
-    def eval_f(kappa: float):
-        prof = phi_profile(kappa, y, max_order=2, quad=quad)
-        return prof.values[1] - target, prof.values[2], prof
-
-    kappa0 = saddle_expansion(t, y, J=2)
-    kappa, _, f, iters = _newton(target, lo, hi, kappa0, tol, eval_f)
-    full = phi_profile(kappa, y, max_order=MAX_ORDER, quad=quad)
-    return SaddleSolution(
-        t=t,
-        y=y,
-        kappa=kappa,
-        log_kappa=math.log(kappa),
-        target=target,
-        residual=full.values[1] - target,
-        bracket=(lo, hi),
-        iterations=iters,
-        profile_at_kappa=full,
-    )
+    The lower tail is feasible only when its target sits below the untilted
+    mean phi_1(0, y); otherwise the threshold lies inside the bulk of the
+    distribution and a regime error is raised.
+    """
+    return _solve(t, y, tol, quad, tail)
 
 
 def solve_saddle_lower(
@@ -164,35 +151,41 @@ def solve_saddle_lower(
     tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> SaddleSolution:
-    """Lower-tail saddle: kappa > 0 with phi_1(-kappa, y) = lower_target(t).
+    """``solve_saddle(t, y, tol, quad, tail="lower")``."""
+    return _solve(t, y, tol, quad, "lower")
 
-    Feasible only when the target sits below the untilted mean phi_1(0, y);
-    otherwise the threshold lies inside the bulk of the distribution and a
-    regime error is raised.
-    """
+
+def _solve(
+    t: float, y: float, tol: float, quad: QuadratureSpec, tail: str
+) -> SaddleSolution:
+    if tail not in TAILS:
+        raise DomainError(f"tail must be one of {TAILS}")
     t, y = float(t), float(y)
     _check_regime(t, y)
-    target = lower_target(t)
-    # phi_1(0, y) in closed form: E[log D_p] = -1/(2 p^2) under Sato-Tate
-    mean0 = -0.5 * math.fsum(primes_for(y).astype(float) ** -2.0)
-    if target >= mean0:
-        raise RegimeError(
-            f"lower-tail threshold at t={t:g} lies inside the bulk: "
-            f"target {target:.6f} >= phi_1(0, y) = {mean0:.6f} "
-            "(no positive tilt exists; t is too small)"
-        )
-    c_lo, c_hi = SADDLE_BRACKET_LOWER
+    lower = tail == "lower"
+    sign = -1.0 if lower else 1.0
+    target = lower_target(t) if lower else upper_target(t)
+    if lower:
+        # phi_1(0, y) in closed form: E[log D_p] = -1/(2 p^2) under Sato-Tate
+        mean0 = -0.5 * math.fsum(primes_for(y).astype(float) ** -2.0)
+        if target >= mean0:
+            raise RegimeError(
+                f"lower-tail threshold at t={t:g} lies inside the bulk: "
+                f"target {target:.6f} >= phi_1(0, y) = {mean0:.6f} "
+                "(no positive tilt exists; t is too small)"
+            )
+    c_lo, c_hi = SADDLE_BRACKET_LOWER if lower else SADDLE_BRACKET
     lo, hi = c_lo * math.exp(t), c_hi * math.exp(t)
 
-    # f(kappa) = target - phi_1(-kappa, y) is increasing in kappa with
-    # derivative phi_2(-kappa, y) > 0, so the same safeguard applies.
+    # f(kappa) = sign (phi_1(sign kappa, y) - target) is increasing in kappa
+    # with derivative phi_2(sign kappa, y) > 0 in both tails
     def eval_f(kappa: float):
-        prof = phi_profile(-kappa, y, max_order=2, quad=quad)
-        return target - prof.values[1], prof.values[2], prof
+        prof = phi_profile(sign * kappa, y, max_order=2, quad=quad)
+        return sign * (prof.values[1] - target), prof.values[2], prof
 
-    kappa0 = math.sqrt(lo * hi)
-    kappa, _, f, iters = _newton(target, lo, hi, kappa0, tol, eval_f)
-    full = phi_profile(-kappa, y, max_order=MAX_ORDER, quad=quad)
+    kappa0 = math.sqrt(lo * hi) if lower else saddle_expansion(t, y, J=2)
+    kappa, _, _, iters = _newton(lo, hi, kappa0, tol, eval_f)
+    full = phi_profile(sign * kappa, y, max_order=MAX_ORDER, quad=quad)
     return SaddleSolution(
         t=t,
         y=y,
@@ -203,7 +196,7 @@ def solve_saddle_lower(
         bracket=(lo, hi),
         iterations=iters,
         profile_at_kappa=full,
-        lower=True,
+        lower=lower,
     )
 
 
@@ -223,11 +216,3 @@ def saddle_expansion(t: float, y: float, J: int = 2) -> float:
         gammas = kappa_expansion_coeffs(J)
         series += math.fsum(g / t**j for j, g in enumerate(gammas, start=1))
     return math.exp(t - gamma0()) * series
-
-
-def saddle_expansion_remainder(t: float, y: float, J: int) -> float:
-    """Relative size of the remainder dropped by :func:`saddle_expansion`:
-    1/t^{J+1} + e^t t/(y log y), implied constant left to the caller."""
-    if y < 2.0 or t <= 0:
-        raise DomainError("remainder requires t > 0 and y >= 2")
-    return t ** -(J + 1) + math.exp(t) * t / (y * math.log(y))

@@ -39,9 +39,8 @@ from .constants import SADDLE_ERROR_C_ASYMPTOTIC, SADDLE_ERROR_C_REFINED
 from .errors import AccuracyError, ConsistencyError, DomainError
 from .profile import MomentLine
 from .quadrature import DEFAULT_QUAD, QuadratureSpec
-from .saddle import SaddleSolution, solve_saddle, solve_saddle_lower
+from .saddle import TAILS, SaddleSolution, solve_saddle
 
-TAILS = ("upper", "lower")
 METHODS = ("saddle_gauss", "expansion", "perron", "monte_carlo")
 SADDLE_MODES = ("refined", "asymptotic")
 EXPANSION_ROUTES = ("saddle_series", "t_series")
@@ -106,11 +105,6 @@ class SmoothingParams:
 def default_smoothing(t: float) -> SmoothingParams:
     """Sandwich default: lambda = e^{-t}/4, N = 1, automatic truncation."""
     return SmoothingParams(lam=0.25 * math.exp(-t), N=1)
-
-
-def narrow_smoothing(kappa: float) -> SmoothingParams:
-    """The kappa^{-2} bandwidth preset (tightest sandwich, slowest decay)."""
-    return SmoothingParams(lam=kappa**-2.0, N=1)
 
 
 def smoothing_kernel(s: complex, params: SmoothingParams) -> complex:
@@ -182,17 +176,46 @@ def _boundary_factor(z0: float, lam3: float, lam4: float, refined: bool) -> floa
     return b
 
 
+def _solution(
+    t: float,
+    y: float,
+    tail: str,
+    solution: SaddleSolution | None,
+    quad: QuadratureSpec,
+) -> SaddleSolution:
+    """The saddle of ``tail`` at (t, y): ``solution`` if given, which must
+    belong to that point and tail, else a fresh solve."""
+    if tail not in TAILS:
+        raise DomainError(f"tail must be one of {TAILS}")
+    if solution is None:
+        return solve_saddle(t, y, quad=quad, tail=tail)
+    have = (solution.t, solution.y, "lower" if solution.lower else "upper")
+    if have != (float(t), float(y), tail):
+        raise DomainError(
+            f"solution= is the {have[2]}-tail saddle at (t={have[0]:g}, "
+            f"y={have[1]:g}), not the {tail}-tail saddle at (t={t:g}, y={y:g})"
+        )
+    return solution
+
+
 def _saddle_estimate(
-    sol: SaddleSolution, mode: str, tail: str
+    t: float,
+    y: float,
+    mode: str,
+    solution: SaddleSolution | None,
+    quad: QuadratureSpec,
+    tail: str,
 ) -> TailEstimate:
+    if mode not in SADDLE_MODES:
+        raise DomainError(f"mode must be one of {SADDLE_MODES}")
+    sol = _solution(t, y, tail, solution, quad)
     prof = sol.profile_at_kappa
     phi0, _, phi2, phi3, phi4 = prof.values
     z0 = sol.kappa * math.sqrt(phi2)
-    lam3 = phi3 / phi2**1.5
+    sign = -1.0 if sol.lower else 1.0
+    # the overshoot's skew flips orientation on the negative axis
+    lam3 = sign * phi3 / phi2**1.5
     lam4 = phi4 / phi2**2
-    if tail == "lower":
-        lam3 = -lam3  # overshoot flips orientation on the negative axis
-    sign = -1.0 if tail == "lower" else 1.0
     base = phi0 - sign * sol.kappa * sol.target
     b = _boundary_factor(z0, lam3, lam4, refined=(mode == "refined"))
     c = SADDLE_ERROR_C_REFINED if mode == "refined" else SADDLE_ERROR_C_ASYMPTOTIC
@@ -212,18 +235,29 @@ def tail_saddle(
     mode: str = "refined",
     solution: SaddleSolution | None = None,
     quad: QuadratureSpec = DEFAULT_QUAD,
+    tail: str = "upper",
 ) -> TailEstimate:
-    """log Phi(t, y) by the tilted (saddle-point) representation.
+    """log Phi(t, y) by the tilted (saddle-point) representation, or log
+    Psi(t, y) with ``tail="lower"``, mirrored at s = -kappa.
 
     Mode ``asymptotic`` is exactly phi_0 - log kappa - (1/2) log(2 pi
-    phi_2) - kappa * target; mode ``refined`` replaces the last two terms
-    by the boundary factor with cumulant corrections, shrinking the error
-    from O(t e^{-t}) to a small multiple of it.
+    phi_2) - kappa * target (upper tail); mode ``refined`` replaces the
+    last two terms by the boundary factor with cumulant corrections,
+    shrinking the error from O(t e^{-t}) to a small multiple of it.
+    ``solution`` reuses the saddle of this tail at (t, y).
     """
-    if mode not in SADDLE_MODES:
-        raise DomainError(f"mode must be one of {SADDLE_MODES}")
-    sol = solution if solution is not None else solve_saddle(t, y, quad=quad)
-    return _saddle_estimate(sol, mode, "upper")
+    return _saddle_estimate(t, y, mode, solution, quad, tail)
+
+
+def tail_saddle_lower(
+    t: float,
+    y: float,
+    mode: str = "refined",
+    solution: SaddleSolution | None = None,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+) -> TailEstimate:
+    """``tail_saddle(t, y, mode, solution, quad, tail="lower")``."""
+    return _saddle_estimate(t, y, mode, solution, quad, "lower")
 
 
 def tail_expansion(
@@ -254,7 +288,7 @@ def tail_expansion(
     if route == "saddle_series":
         if not 1 <= J <= 4:
             raise DomainError("saddle_series route supports J in 1..4")
-        sol = solution if solution is not None else solve_saddle(t, y_eff, quad=quad)
+        sol = _solution(t, y_eff, "upper", solution, quad)
         log_k = math.log(sol.kappa)
         series = math.fsum(
             coefficient_a(j) / log_k**j for j in range(1, J + 1)
@@ -315,10 +349,7 @@ def _resolve_params(
 
 
 def _perron_log_value(
-    sol: SaddleSolution,
-    params: SmoothingParams,
-    quad: QuadratureSpec,
-    lower: bool,
+    sol: SaddleSolution, params: SmoothingParams, quad: QuadratureSpec
 ) -> tuple[float, float]:
     """(log V, relative error indicator) for the smoothed contour integral.
 
@@ -330,7 +361,7 @@ def _perron_log_value(
     the sum; then h halves, at most 6 times, until two sums agree to 1e-7.
     """
     kappa = sol.kappa
-    sign = -1.0 if lower else 1.0
+    sign = -1.0 if sol.lower else 1.0
     prof = sol.profile_at_kappa
     base = prof.values[0] - sign * kappa * sol.target
     lines: list[MomentLine] = []
@@ -377,14 +408,17 @@ def _perron_log_value(
 
 
 def _perron_pair(
-    sol: SaddleSolution,
+    t: float,
+    y: float,
     params: SmoothingParams | None,
+    solution: SaddleSolution | None,
     quad: QuadratureSpec,
     tail: str,
 ) -> tuple[TailEstimate, TailEstimate]:
+    sol = _solution(t, y, tail, solution, quad)
     t = sol.t
     params = _resolve_params(t, sol.kappa, params)
-    log_v, rel = _perron_log_value(sol, params, quad, lower=tail == "lower")
+    log_v, rel = _perron_log_value(sol, params, quad)
     # sandwich: tail(t) <= V <= tail(t e^{-lambda N / 2}) for both tails
     t_shift = t * math.exp(-0.5 * params.lam * params.N)
     upper_est = TailEstimate(
@@ -412,35 +446,19 @@ def tail_perron(
     params: SmoothingParams | None = None,
     solution: SaddleSolution | None = None,
     quad: QuadratureSpec = DEFAULT_QUAD,
+    tail: str = "upper",
 ) -> tuple[TailEstimate, TailEstimate]:
     """Smoothed contour value V with Phi(t, y) <= V <= Phi(t', y),
-    t' = t e^{-lambda N / 2}.
+    t' = t e^{-lambda N / 2}; with ``tail="lower"`` the same sandwich
+    Psi(t) <= V <= Psi(t') at s = -kappa.
 
-    Returns (lower, upper): the same V once as a lower estimate for
-    Phi(t', y) (the estimate's t is t') and once as an upper estimate for
-    Phi(t, y). The integrand is centered at the saddle, so the oscillatory
-    phase is gone and the contour integral is a near-Gaussian profile.
+    Returns (lower, upper): the same V once as a lower estimate for the
+    tail at t' (the estimate's t is t') and once as an upper estimate for
+    the tail at t. The integrand is centered at the saddle, so the
+    oscillatory phase is gone and the contour integral is a near-Gaussian
+    profile. ``solution`` reuses the saddle of this tail at (t, y).
     """
-    sol = solution if solution is not None else solve_saddle(t, y, quad=quad)
-    return _perron_pair(sol, params, quad, "upper")
-
-
-def tail_saddle_lower(
-    t: float,
-    y: float,
-    mode: str = "refined",
-    solution: SaddleSolution | None = None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> TailEstimate:
-    """log Psi(t, y) by the mirrored tilted representation at s = -kappa."""
-    if mode not in SADDLE_MODES:
-        raise DomainError(f"mode must be one of {SADDLE_MODES}")
-    sol = (
-        solution
-        if solution is not None
-        else solve_saddle_lower(t, y, quad=quad)
-    )
-    return _saddle_estimate(sol, mode, "lower")
+    return _perron_pair(t, y, params, solution, quad, tail)
 
 
 def tail_perron_lower(
@@ -450,37 +468,5 @@ def tail_perron_lower(
     solution: SaddleSolution | None = None,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> tuple[TailEstimate, TailEstimate]:
-    """Smoothed contour sandwich for the lower tail: Psi(t) <= V <= Psi(t')."""
-    sol = (
-        solution
-        if solution is not None
-        else solve_saddle_lower(t, y, quad=quad)
-    )
-    return _perron_pair(sol, params, quad, "lower")
-
-
-def lower_tail_variants(
-    t: float,
-    y: float,
-    methods: tuple[str, ...] = ("saddle_gauss", "perron"),
-    mode: str = "refined",
-    params: SmoothingParams | None = None,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> dict[str, TailEstimate | tuple[TailEstimate, TailEstimate]]:
-    """All requested lower-tail estimates from one saddle solve.
-
-    ``saddle_gauss`` maps to a single TailEstimate, ``perron`` to the
-    (lower, upper) sandwich pair.
-    """
-    sol = solve_saddle_lower(t, y, quad=quad)
-    out: dict[str, TailEstimate | tuple[TailEstimate, TailEstimate]] = {}
-    for method in methods:
-        if method == "saddle_gauss":
-            out[method] = tail_saddle_lower(t, y, mode=mode, solution=sol, quad=quad)
-        elif method == "perron":
-            out[method] = tail_perron_lower(t, y, params=params, solution=sol, quad=quad)
-        else:
-            raise DomainError(
-                "lower_tail_variants supports methods 'saddle_gauss' and 'perron'"
-            )
-    return out
+    """``tail_perron(t, y, params, solution, quad, tail="lower")``."""
+    return _perron_pair(t, y, params, solution, quad, "lower")

@@ -1,0 +1,150 @@
+"""Bit pins: float.hex of the saddle and tail outputs at six fixed points.
+
+Each pin is an exact output of the package, recorded before the two tails
+shared one solver. A refactor that claims to keep every output bit must
+keep every pin; a change that moves bits on purpose regenerates them and
+says so in CHANGES.md. Orders of phi are 0..4 at the saddle tilt; the
+estimate pins are (log_value, error_indicator), the perron one of its
+upper estimate.
+
+The pins were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on
+x86-64 Linux. Another numpy build or libm may round differently in the last
+bit; on such a host, regenerate the pins from the commit before a change
+and compare against those.
+"""
+
+import pytest
+from test_acceptance import Budget
+
+from eulertails.cli import main
+from eulertails.manifest import CACHE_DIR_ENV
+from eulertails.saddle import solve_saddle
+from eulertails.tails import tail_expansion, tail_perron, tail_saddle
+
+PINS = {
+    ('upper', 2.0, 50.0): {
+        'kappa': '0x1.3992cd4e85ebap+3',
+        'residual': '-0x1.b194800000000p-34',
+        'iterations': 5,
+        'phi': ('0x1.ecfdbf13fa98fp+3', '0x1.45367fdb194dbp+1', '0x1.6e0b798415822p-4', '-0x1.b6b27018e743bp-7', '0x1.bc938b3dff841p-9'),
+        'refined': ('-0x1.706cce2bf8404p+3', '0x1.bb7776c659c7ap-6'),
+        'asymptotic': ('-0x1.6f83266cada07p+3', '0x1.152aaa3bf81ccp-3'),
+        'perron': ('-0x1.6adf3f2278a0fp+3', '0x1.0c700bfd6b313p-20'),
+        'expansion': ('-0x1.a3143106267edp+3', '0x1.0dbdf2b8c1771p+3'),
+    },
+    ('upper', 1.5, 30.0): {
+        'kappa': '0x1.66ed740fd5139p+2',
+        'residual': '-0x1.6000000000000p-48',
+        'iterations': 6,
+        'phi': ('0x1.6e78879abc35bp+2', '0x1.f721ef2cf8229p+0', '0x1.968e445fe8ff8p-3', '-0x1.a23ca874d3794p-5', '0x1.425a0b8e7a826p-6'),
+        'refined': ('-0x1.cb3e59731717ap+2', '0x1.122eade2d3745p-5'),
+        'asymptotic': ('-0x1.c85fc64ea4870p+2', '0x1.56ba595b88516p-3'),
+        'perron': ('-0x1.c074532cc8c13p+2', '0x1.0c713a554ea76p-20'),
+        'expansion': ('-0x1.60da413ab5dedp+3', '0x1.5b09726b28ecdp+3'),
+    },
+    ('upper', 3.0, 1000.0): {
+        'kappa': '0x1.b3f48b1588e94p+4',
+        'residual': '0x1.2278000000000p-37',
+        'iterations': 4,
+        'phi': ('0x1.133af47b2967fp+6', '0x1.ad030f8e526b6p+1', '0x1.7e747fee4d084p-6', '-0x1.2516c1c3b401bp-10', '0x1.95d505e4c00c4p-14'),
+        'refined': ('-0x1.8e0e03c4cbd43p+4', '0x1.e96d428f8073ap-7'),
+        'asymptotic': ('-0x1.8dc60066ee31ap+4', '0x1.31e44999b0483p-4'),
+        'perron': ('-0x1.8b3a7fcfe25cbp+4', '0x1.0c6f7a39e4afbp-20'),
+        'expansion': ('-0x1.677c49053b977p+4', '0x1.d81d7cf5492a1p+2'),
+    },
+    ('lower', 2.0, 50.0): {
+        'kappa': '0x1.ada0fb105cd37p+2',
+        'residual': '0x1.0000000000000p-50',
+        'iterations': 4,
+        'phi': ('0x1.c4d9587c5351ap+2', '-0x1.8b9a6cc1fa914p+0', '0x1.72d335702c002p-4', '0x1.c06daf247b748p-7', '0x1.ca745c49eb790p-9'),
+        'refined': ('-0x1.40c402cf31cd7p+2', '0x1.bb7776c659c7ap-6'),
+        'asymptotic': ('-0x1.3adf622eced75p+2', '0x1.152aaa3bf81ccp-3'),
+        'perron': ('-0x1.38c081cac98f8p+2', '0x1.0cc5c663bef15p-20'),
+    },
+    ('lower', 1.5, 30.0): {
+        'kappa': '0x1.449b7e20ddceep+1',
+        'residual': '-0x1.0000000000000p-53',
+        'iterations': 4,
+        'phi': ('0x1.a02951e3264b0p+0', '-0x1.f09eb870a76a0p-1', '0x1.9e37545075c8cp-3', '0x1.ae0f2b069e527p-5', '0x1.4c36100b3b617p-6'),
+        'refined': ('-0x1.137c7be8316eap+1', '0x1.122eade2d3745p-5'),
+        'asymptotic': ('-0x1.e274d1946bf57p+0', '0x1.56ba595b88516p-3'),
+        'perron': ('-0x1.076aff8673ab0p+1', '0x1.0c7d9db4c5f3ap-20'),
+    },
+    ('lower', 3.0, 1000.0): {
+        'kappa': '0x1.83d9fe1e4071bp+4',
+        'residual': '-0x1.0000000000000p-51',
+        'iterations': 5,
+        'phi': ('0x1.5956c989e6927p+5', '-0x1.2d99c613fbaa1p+1', '0x1.7e9300b6d61dap-6', '0x1.2540cef952be7p-10', '0x1.9628e60cb1c2fp-14'),
+        'refined': ('-0x1.03480cec3ee38p+4', '0x1.e96d428f8073ap-7'),
+        'asymptotic': ('-0x1.02da89b55a059p+4', '0x1.31e44999b0483p-4'),
+        'perron': ('-0x1.00c0c2d8b0d9ep+4', '0x1.0c6f7a756cd33p-20'),
+    },
+}
+SADDLE_STDOUT = (
+    '{\n'
+    '  "rows": [\n'
+    '    {\n'
+    '      "t": 1.5,\n'
+    '      "y": 50.0,\n'
+    '      "tail": "lower",\n'
+    '      "kappa": 2.486800594730756,\n'
+    '      "log_kappa": 0.9109969825680578,\n'
+    '      "target": -0.9699609410779039,\n'
+    '      "residual": -1.1102230246251565e-16,\n'
+    '      "iterations": 4,\n'
+    '      "bracket_lo": 0.5602111337922581,\n'
+    '      "bracket_hi": 17.926756281352258,\n'
+    '      "phi0": 1.5927076771810686,\n'
+    '      "phi1": -0.969960941077904,\n'
+    '      "phi2": 0.2082029391649812\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
+
+def _hexes(est):
+    return (est.log_value.hex(), est.error_indicator.hex())
+
+
+@pytest.fixture(scope="module")
+def outputs():
+    out = {}
+    with Budget(5.0):
+        for tail, t, y in PINS:
+            sol = solve_saddle(t, y, tail=tail)
+            row = {
+                "kappa": sol.kappa.hex(),
+                "residual": sol.residual.hex(),
+                "iterations": sol.iterations,
+                "phi": tuple(v.hex() for v in sol.profile_at_kappa.values),
+            }
+            for mode in ("refined", "asymptotic"):
+                row[mode] = _hexes(tail_saddle(t, y, mode, sol, tail=tail))
+            row["perron"] = _hexes(tail_perron(t, y, solution=sol, tail=tail)[1])
+            if tail == "upper":
+                row["expansion"] = _hexes(tail_expansion(t, y, J=2, solution=sol))
+            out[tail, t, y] = row
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(PINS))
+def test_saddle_solution_bits(outputs, key):
+    got, want = outputs[key], PINS[key]
+    for field in ("kappa", "residual", "iterations", "phi"):
+        assert got[field] == want[field], field
+
+
+@pytest.mark.parametrize("key", sorted(PINS))
+def test_tail_row_bits(outputs, key):
+    got, want = outputs[key], PINS[key]
+    assert set(got) == set(want)
+    for route in ("refined", "asymptotic", "perron", "expansion"):
+        assert got.get(route) == want.get(route), route
+
+
+def test_lower_saddle_stdout_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+    with Budget(5.0):
+        assert main(["saddle", "--t", "1.5", "--y", "50", "--tail", "lower"]) == 0
+    assert capsys.readouterr().out == SADDLE_STDOUT

@@ -26,6 +26,7 @@ from eulertails.local import (
     local_moment_log,
     local_moment_weighted,
     log_d_p,
+    nodes_for,
 )
 from eulertails.quadrature import DEFAULT_QUAD, QuadratureSpec
 
@@ -56,6 +57,22 @@ class TestDp:
     def test_log_consistency(self):
         th = np.linspace(0, math.pi, 7)
         assert np.allclose(np.exp(log_d_p(7, th)), d_p(7, th), rtol=1e-14)
+
+
+class TestNodesFor:
+    @pytest.mark.parametrize("tau", [0.0, 37.5])
+    @pytest.mark.parametrize("sigma", [-600.0, 0.0, 3.0, 569.0])
+    def test_array_form_matches_scalar(self, sigma, tau):
+        p = np.arange(2, 10_001)
+        got = nodes_for(p, sigma, tau)
+        assert got.dtype.kind == "i" and got.shape == p.shape
+        scalar = [nodes_for(int(q), sigma, tau) for q in p]
+        assert all(type(n) is int for n in scalar)
+        assert got.tolist() == scalar
+
+    def test_cap(self):
+        assert nodes_for(2, 0.0, 1e9) == 20000
+        assert nodes_for(np.array([2, 3]), 0.0, 1e9).tolist() == [20000, 20000]
 
 
 class TestMoments:

@@ -18,13 +18,13 @@ from eulertails.mc import (
     TABLE_CELLS,
     SamplerConfig,
     TiltedTables,
+    _log_product,
     block_sizes,
     empirical_moment,
     estimate_tail_plain,
     estimate_tail_tilted,
     invert_angle_cdf,
     plain_block_hits,
-    random_product,
     rng_for_block,
     sample_angle,
     tilted_block_stats,
@@ -203,24 +203,20 @@ class TestAngleSampler:
 
 
 class TestRandomProduct:
+    """log L rows of the samplers at forced angles."""
+
     def test_maximal_angles(self):
         # theta = 0 maximizes every factor: log L = 2 sum -log(1 - 1/p)
-        rng = np.random.default_rng(0)
-        got = random_product(primes_for(100.0), rng, theta=0.0)
-        assert got == pytest.approx(2.0 * mertens_log_sum(100.0).value, rel=1e-13)
+        primes = primes_for(100.0)
+        got = _log_product(primes, np.zeros((2, primes.size)))
+        assert got.shape == (2,) and got[0] == got[1]
+        assert got[0] == pytest.approx(2.0 * mertens_log_sum(100.0).value, rel=1e-13)
 
     def test_central_angles(self):
-        got = random_product(
-            primes_for(50.0), np.random.default_rng(0), theta=math.pi / 2
-        )
-        expected = -math.fsum(
-            math.log1p(float(p) ** -2.0) for p in primes_for(50.0)
-        )
+        primes = primes_for(50.0)
+        got = _log_product(primes, np.full((1, primes.size), math.pi / 2))[0]
+        expected = -math.fsum(math.log1p(float(p) ** -2.0) for p in primes)
         assert got == pytest.approx(expected, rel=1e-13)
-
-    def test_empty_table_rejected(self):
-        with pytest.raises(DomainError):
-            random_product(np.array([]), np.random.default_rng(0))
 
 
 class TestMoments:

@@ -5,8 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eulertails.errors import AccuracyError, DomainError
 from eulertails.quadrature import (
@@ -17,7 +15,6 @@ from eulertails.quadrature import (
     integrate,
     kahan_sum,
     leggauss,
-    logsumexp_w,
     panel_nodes,
 )
 
@@ -144,11 +141,3 @@ class TestReductions:
         rng = np.random.default_rng(3)
         xs = (rng.random(2000) - 0.5) * 10.0 ** rng.integers(-8, 8, 2000)
         assert kahan_sum(xs) == pytest.approx(math.fsum(xs), rel=1e-15)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_logsumexp_w_matches_direct(self, vals):
-        logs = np.asarray(vals)
-        w = np.ones_like(logs)
-        direct = math.log(math.fsum(math.exp(v - max(vals)) for v in vals)) + max(vals)
-        assert logsumexp_w(logs, w) == pytest.approx(direct, rel=1e-12, abs=1e-12)

@@ -21,7 +21,6 @@ from eulertails.saddle import (
     _newton,
     lower_target,
     saddle_expansion,
-    saddle_expansion_remainder,
     solve_saddle,
     solve_saddle_lower,
     upper_target,
@@ -137,18 +136,11 @@ class TestExpansion:
         first_omitted = abs(kappa_expansion_coeffs(3)[2]) / t**3
         assert rel <= 3.0 * first_omitted
 
-    def test_remainder_monotone_in_depth(self):
-        r = [saddle_expansion_remainder(6.0, 1e6, J) for J in (0, 1, 2, 3)]
-        assert r == sorted(r, reverse=True)
-        assert r[-1] > 0
-
     def test_domain(self):
         with pytest.raises(DomainError):
             saddle_expansion(3.0, 1e5, J=5)
         with pytest.raises(DomainError):
             saddle_expansion(0.0, 1e5)
-        with pytest.raises(DomainError):
-            saddle_expansion_remainder(0.0, 1e5, 2)
 
 
 class TestNewton:
@@ -166,7 +158,7 @@ class TestNewton:
 
     def test_converging_solve_skips_bracket_ends(self):
         calls, eval_f = self.counted(lambda k: k - 0.3, 1.0)
-        kappa, _, f, iters = _newton(0.0, 0.0, 1.0, 0.5, 1e-12, eval_f)
+        kappa, _, f, iters = _newton(0.0, 1.0, 0.5, 1e-12, eval_f)
         assert kappa == pytest.approx(0.3, abs=1e-12)
         assert abs(f) <= 1e-12
         assert len(calls) == iters + 1
@@ -175,7 +167,7 @@ class TestNewton:
     def test_no_root_in_bracket(self):
         calls, eval_f = self.counted(lambda k: k + 1.0, 1.0)
         with pytest.raises(ConsistencyError, match="no sign change"):
-            _newton(0.0, 0.0, 1.0, 0.5, 1e-12, eval_f)
+            _newton(0.0, 1.0, 0.5, 1e-12, eval_f)
         assert calls[-2:] == [0.0, 1.0]
 
     def test_unreached_tolerance_with_sign_change(self):
@@ -183,5 +175,5 @@ class TestNewton:
         # and 30 bisections cannot reach |f| <= 1e-15
         calls, eval_f = self.counted(lambda k: k - 1.0 / 3.0, 1e-6)
         with pytest.raises(ConsistencyError, match="did not reach"):
-            _newton(0.0, 0.0, 1.0, 0.5, 1e-15, eval_f)
+            _newton(0.0, 1.0, 0.5, 1e-15, eval_f)
         assert calls[-2:] == [0.0, 1.0]

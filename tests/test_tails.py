@@ -19,10 +19,9 @@ from eulertails.saddle import solve_saddle, solve_saddle_lower
 from eulertails.tails import (
     SmoothingParams,
     TailEstimate,
+    Y_INF_FACTOR,
     _resolve_params,
     default_smoothing,
-    lower_tail_variants,
-    narrow_smoothing,
     smoothing_kernel,
     tail_expansion,
     tail_perron,
@@ -85,7 +84,6 @@ class TestSmoothing:
         params = default_smoothing(2.0)
         assert params.lam == pytest.approx(0.25 * math.exp(-2.0), rel=1e-15)
         assert params.N == 1 and params.tau_max is None
-        assert narrow_smoothing(10.0).lam == pytest.approx(0.01, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -254,9 +252,8 @@ class TestPerronUpper:
 def test_perron_trapezoid_matches_adaptive_quad(tail, t, y):
     # the same integrand, built through MomentLine.__call__ and integrated
     # by QUADPACK over [0, tau_max]
-    lower = tail == "lower"
-    sign = -1.0 if lower else 1.0
-    sol = solve_saddle_lower(t, y) if lower else solve_saddle(t, y)
+    sign = -1.0 if tail == "lower" else 1.0
+    sol = solve_saddle(t, y, tail=tail)
     params = _resolve_params(t, sol.kappa, None)
     line = MomentLine(sign * sol.kappa, y, tau_max=params.tau_max)
 
@@ -271,8 +268,7 @@ def test_perron_trapezoid_matches_adaptive_quad(tail, t, y):
     expected = (
         prof.values[0] - sign * sol.kappa * sol.target + math.log(total / math.pi)
     )
-    perron = tail_perron_lower if lower else tail_perron
-    pair = perron(t, y, solution=sol)
+    pair = tail_perron(t, y, solution=sol, tail=tail)
     assert pair[1].log_value == pytest.approx(expected, abs=1e-10)
 
 
@@ -298,14 +294,78 @@ class TestLowerTail:
         assert vals == sorted(vals, reverse=True)
 
     def test_variants_bundle(self):
-        out = lower_tail_variants(1.5, 50.0)
-        assert set(out) == {"saddle_gauss", "perron"}
-        assert out["saddle_gauss"].log_value == pytest.approx(
-            FROZEN_LOG_PSI_SADDLE, abs=2e-5
-        )
-        lo_est, up_est = out["perron"]
+        # both lower-tail routes from one saddle solve
+        sol = solve_saddle(1.5, 50.0, tail="lower")
+        est = tail_saddle(1.5, 50.0, solution=sol, tail="lower")
+        assert est.tail == "lower"
+        assert est.log_value == pytest.approx(FROZEN_LOG_PSI_SADDLE, abs=2e-5)
+        lo_est, up_est = tail_perron(1.5, 50.0, solution=sol, tail="lower")
         assert lo_est.log_value == up_est.log_value
+        assert up_est.log_value == pytest.approx(FROZEN_LOG_PSI_PERRON, abs=2e-5)
 
-    def test_variants_vocabulary(self):
-        with pytest.raises(DomainError):
-            lower_tail_variants(1.5, 50.0, methods=("expansion",))
+
+class TestTailArgument:
+    """One ``tail=`` argument; the *_lower names are aliases of it."""
+
+    @pytest.mark.parametrize("t,y", [(1.5, 50.0), (3.0, 1e3)])
+    def test_aliases_are_the_lower_tail(self, t, y):
+        sol = solve_saddle(t, y, tail="lower")
+        assert repr(sol) == repr(solve_saddle_lower(t, y))
+        assert repr(tail_saddle(t, y, tail="lower")) == repr(tail_saddle_lower(t, y))
+        asym = tail_saddle(t, y, mode="asymptotic", solution=sol, tail="lower")
+        assert repr(asym) == repr(tail_saddle_lower(t, y, "asymptotic", sol))
+        assert repr(tail_perron(t, y, tail="lower")) == repr(tail_perron_lower(t, y))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: solve_saddle(2.0, 50.0, tail="both"),
+            lambda: tail_saddle(2.0, 50.0, tail="Upper"),
+            lambda: tail_perron(2.0, 50.0, tail="lower_"),
+            lambda: tail_saddle(2.0, 50.0, solution=solve_saddle(2.0, 50.0), tail="mid"),
+        ],
+    )
+    def test_unknown_tail_rejected(self, call):
+        with pytest.raises(DomainError, match="tail must be one of"):
+            call()
+
+
+class TestForeignSolution:
+    """A ``solution=`` of another point or tail is rejected, not used."""
+
+    @pytest.fixture(scope="class")
+    def sols(self):
+        return {
+            "lower": solve_saddle_lower(3.0, 1e4),
+            "point": solve_saddle(2.0, 50.0),
+            "upper": solve_saddle(3.0, 1e4),
+        }
+
+    @pytest.mark.parametrize("wrong", ["lower", "point"])
+    def test_tail_saddle(self, sols, wrong):
+        assert tail_saddle(3.0, 1e4, solution=sols["upper"]).t == 3.0
+        with pytest.raises(DomainError, match="solution="):
+            tail_saddle(3.0, 1e4, solution=sols[wrong])
+
+    @pytest.mark.parametrize("wrong", ["lower", "point"])
+    def test_tail_perron(self, sols, wrong):
+        with pytest.raises(DomainError, match="solution="):
+            tail_perron(3.0, 1e4, solution=sols[wrong])
+
+    @pytest.mark.parametrize("wrong", ["lower", "point"])
+    def test_tail_expansion(self, sols, wrong):
+        assert tail_expansion(3.0, 1e4, solution=sols["upper"]).t == 3.0
+        with pytest.raises(DomainError, match="solution="):
+            tail_expansion(3.0, 1e4, solution=sols[wrong])
+
+    def test_expansion_at_infinity_matches_y_eff(self):
+        sol = solve_saddle(2.0, Y_INF_FACTOR * math.exp(2.0))
+        assert repr(tail_expansion(2.0, solution=sol)) == repr(tail_expansion(2.0))
+        with pytest.raises(DomainError, match="solution="):
+            tail_expansion(2.0, solution=solve_saddle(2.0, 50.0))
+
+    def test_upper_solution_passed_to_lower_alias(self, sols):
+        with pytest.raises(DomainError, match="upper-tail saddle at"):
+            tail_saddle_lower(3.0, 1e4, solution=sols["upper"])
+        with pytest.raises(DomainError, match="solution="):
+            tail_perron_lower(3.0, 1e4, solution=sols["upper"])
