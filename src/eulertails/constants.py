@@ -31,6 +31,10 @@ H_LARGE_BRACKET = (-2.30, -1.50)
 #: Weighted-moment ratio constants: E_{p,j}(s)/E_p(s) <= C_j (p/s)^j.
 WEIGHTED_RATIO_C = {0: 1.0, 1: 1.0, 2: 1.2, 3: 2.0}
 
+#: most float64s a chunked kernel holds in one temporary (1 MB): Monte Carlo
+#: uniforms per row chunk, profile table cells per bucket chunk
+CHUNK_DOUBLES = 1 << 17
+
 #: Fast-path sentinel tolerance: closed-form vs quadrature discrepancy must
 #: stay below C times the closed forms' own error envelope.
 FAST_PATH_CHECK_C = 10.0

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import CHUNK_DOUBLES
 from .errors import AccuracyError, DomainError
 from .local import inv_d_p, log_d_p
 from .primes import primes_for
@@ -43,7 +44,7 @@ BLOCK = 1 << 15
 TABLE_CELLS = 4096
 
 #: most uniforms a sampler holds at once (1 MB of doubles)
-CHUNK_DRAWS = 1 << 17
+CHUNK_DRAWS = CHUNK_DOUBLES
 
 
 @dataclass(frozen=True)

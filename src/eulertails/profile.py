@@ -11,8 +11,13 @@ tilt), and phi_3, phi_4 the higher cumulants, which enter only through
 error estimates.
 
 Evaluation strategy: primes are bucketed by required Gauss-Legendre node
-count and each bucket is evaluated as one vectorized tilted-moment matrix,
-reduced in increasing-prime order by exact summation. For tilts
+count, rounded up to a power of two; as that count is nonincreasing in p,
+each bucket is a contiguous run of primes. The sigma-independent log D_p
+tables of the most recent y are kept, read-only, over a prefix of its
+primes that grows as buckets need. Each bucket is reduced in row chunks of
+at most 2^17 doubles, counted from its first row and never ending in a
+one-row chunk (a one-row product takes another BLAS path, which can move
+the last bit); exact summation (math.fsum) hides the chunks. For tilts
 sigma >= 3, primes with p > 16 max(sigma, 1) can optionally be routed
 through the limit-shape closed forms
 
@@ -22,7 +27,10 @@ through the limit-shape closed forms
 an O(sigma/p^2)-accurate fast path; a sentinel subset of fast-path primes
 is always cross-checked against quadrature. Orders 3 and 4 are
 Richardson-extrapolated central differences of the order-2 sum in sigma,
-which is accurate far beyond their only role of bounding error terms.
+which is accurate far beyond their only role of bounding error terms; the
+four shifted passes sum only phi_2. The order-0..2 pass of the last call at
+the same (sigma, quad, fast_path) is reused, so the order-4 call at a
+converged Newton iterate repeats no pass of it.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
+    CHUNK_DOUBLES,
     DECAY_C1,
     DECAY_C2,
     DECAY_C3,
@@ -52,6 +61,9 @@ MAX_ORDER = 4
 
 #: relative step for the order-3/4 central differences in sigma
 _FD_REL_STEP = 0.02
+
+#: primes per chunk of _fast_sums (series_s holds ~8 doubles per prime)
+_FAST_CHUNK = CHUNK_DOUBLES // 8
 
 #: number of fast-path primes re-checked by quadrature on every call
 _SENTINEL_COUNT = 4
@@ -77,20 +89,32 @@ class ProfileDerivatives:
 
 def _layout(
     primes: np.ndarray, sigma: float, quad: QuadratureSpec, tau_max: float = 0.0
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Group primes into shared-rule buckets: (indices, primes, nodes)."""
+) -> list[tuple[int, int, int]]:
+    """Shared-rule buckets as (lo, hi, nodes) ranges of primes[lo:hi].
+
+    nodes_for is nonincreasing in p, so each bucket is one contiguous run;
+    the list runs in increasing node count (decreasing primes), the order
+    in which MomentLine adds its buckets up.
+    """
     if quad.nodes is not None:
-        idx = np.arange(primes.size)
-        return [(idx, primes.astype(float), quad.nodes)]
+        return [(0, primes.size, quad.nodes)]
     want = nodes_for(primes, sigma, tau_max)
     # round the node count up to the next power of two (floor 64) so that
     # only a handful of distinct rules are instantiated
     pow2 = np.maximum(64, 2 ** np.ceil(np.log2(want)).astype(int))
-    out = []
-    for n in np.unique(pow2):
-        idx = np.nonzero(pow2 == n)[0]
-        out.append((idx, primes[idx].astype(float), int(n)))
-    return out
+    edges = [0, *(np.flatnonzero(pow2[1:] != pow2[:-1]) + 1).tolist(), primes.size]
+    runs = list(zip(edges[:-1], edges[1:]))
+    return [(lo, hi, int(pow2[lo])) for lo, hi in reversed(runs)]
+
+
+def _chunks(lo: int, hi: int, step: int) -> list[tuple[int, int]]:
+    """[a, b) chunks of step rows covering [lo, hi), counted from lo. A
+    one-row tail joins the chunk before it: numpy's product of a one-row
+    matrix takes another BLAS path, which can move the last bit."""
+    edges = list(range(lo, hi, max(step, 2)))
+    if len(edges) > 1 and hi - edges[-1] == 1:
+        edges.pop()
+    return list(zip(edges, edges[1:] + [hi]))
 
 
 def _bucket_tables(pvec: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -99,38 +123,67 @@ def _bucket_tables(pvec: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     return w, np.sin(th) ** 2, log_d_p(pvec[:, None], th[None, :])
 
 
-def _bucket_sums(
-    tables: tuple[np.ndarray, ...], sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log E_p, dlog E_p, curvature) for one bucket, peak-factored."""
+#: state of the most recent int(y): its "primes"; "tables", per node count
+#: n the (weights, sin^2, log D_p) tables of the n-node rule, log D_p over a
+#: prefix of the primes and read-only; "last", the latest order-0..2 pass
+#: as ((sigma, quad, fast_path), sums)
+_Y_CACHE: dict = {}
+
+
+def _y_cache(y: float) -> dict:
+    """The cache of y, emptied first if it holds another y."""
+    if _Y_CACHE.get("y") != int(y):
+        _Y_CACHE.clear()
+        _Y_CACHE.update(y=int(y), primes=primes_for(y), tables={}, last=(None, None))
+    return _Y_CACHE
+
+
+def _tables(cache: dict, n: int, m: int) -> tuple[np.ndarray, ...]:
+    """The cached n-node tables, log D_p over at least the first m primes
+    of the cached y; a short table is extended in row chunks."""
+    w, s2, logd = cache["tables"].get(n) or _bucket_tables(np.empty(0), n)
+    if logd.shape[0] < m:
+        grown = np.empty((m, n))
+        grown[: logd.shape[0]] = logd
+        for a, b in _chunks(logd.shape[0], m, CHUNK_DOUBLES // n):
+            grown[a:b] = _bucket_tables(cache["primes"][a:b].astype(float), n)[2]
+        grown.setflags(write=False)
+        cache["tables"][n] = w, s2, logd = w, s2, grown
+    return w, s2, logd
+
+
+def _bucket_sums(tables: tuple[np.ndarray, ...], sigma: float) -> np.ndarray:
+    """Rows (log E_p, dlog E_p, curvature) for one bucket, peak-factored,
+    in row chunks of at most CHUNK_DOUBLES table cells."""
     w, s2, logd = tables
-    kern = sigma * logd
-    mx = np.max(kern, axis=1)
-    kern -= mx[:, None]
-    np.exp(kern, out=kern)
-    kern *= s2
-    z = kern @ w
-    scratch = kern * logd
-    mean = scratch @ w / z
-    np.square(np.subtract(logd, mean[:, None], out=scratch), out=scratch)
-    scratch *= kern
-    var = scratch @ w / z
-    log_e = mx + np.log(z * (2.0 / np.pi))
-    return log_e, mean, var
+    out = np.empty((3, logd.shape[0]))
+    for a, b in _chunks(0, logd.shape[0], CHUNK_DOUBLES // w.size):
+        rows = logd[a:b]
+        kern = sigma * rows
+        mx = np.max(kern, axis=1)
+        kern -= mx[:, None]
+        np.exp(kern, out=kern)
+        kern *= s2
+        z = kern @ w
+        scratch = kern * rows
+        mean = scratch @ w / z
+        np.square(np.subtract(rows, mean[:, None], out=scratch), out=scratch)
+        scratch *= kern
+        out[:, a:b] = mx + np.log(z * (2.0 / np.pi)), mean, scratch @ w / z
+    return out
 
 
-def _fast_sums(
-    pvec: np.ndarray, sigma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Limit-shape closed forms for p > 16 sigma (u < 1/16: the series branch)."""
-    u = sigma / pvec
-    log_d0 = -2.0 * np.log1p(-1.0 / pvec)
-    s0, s1, s2 = series_s(u, 2)
-    r1 = s1 / s0
-    log_e = np.log(s0)
-    mean = 0.5 * r1 * log_d0
-    var = (s2 / s0 - r1**2) / pvec**2
-    return log_e, mean, var
+def _fast_sums(pvec: np.ndarray, sigma: float) -> np.ndarray:
+    """Limit-shape closed forms for p > 16 sigma (u < 1/16: the series
+    branch), as rows like _bucket_sums'; elementwise, in prime chunks."""
+    out = np.empty((3, pvec.size))
+    for a, b in _chunks(0, pvec.size, _FAST_CHUNK):
+        p = pvec[a:b]
+        log_d0 = -2.0 * np.log1p(-1.0 / p)
+        s0, s1, s2 = series_s(sigma / p, 2)
+        r1 = s1 / s0
+        out[:, a:b] = np.log(s0), 0.5 * r1 * log_d0, (s2 / s0 - r1**2) / p**2
+    return out
 
 
 def _sentinel_check(pvec: np.ndarray, sigma: float, quad: QuadratureSpec) -> None:
@@ -165,31 +218,6 @@ def _sentinel_check(pvec: np.ndarray, sigma: float, quad: QuadratureSpec) -> Non
                 )
 
 
-def _profile_sums(
-    tables: list[tuple[np.ndarray, ...]],
-    fast: np.ndarray | None,
-    sigma: float,
-) -> tuple[float, float, float]:
-    """Orders 0..2 prime sums for fixed bucket tables and fast set."""
-    parts_log: list[np.ndarray] = []
-    parts_mean: list[np.ndarray] = []
-    parts_var: list[np.ndarray] = []
-    for tab in tables:
-        log_e, mean, var = _bucket_sums(tab, sigma)
-        parts_log.append(log_e)
-        parts_mean.append(mean)
-        parts_var.append(var)
-    if fast is not None and fast.size:
-        log_e, mean, var = _fast_sums(fast, sigma)
-        parts_log.append(log_e)
-        parts_mean.append(mean)
-        parts_var.append(var)
-    phi0 = math.fsum(np.concatenate(parts_log))
-    phi1 = math.fsum(np.concatenate(parts_mean))
-    phi2 = math.fsum(np.concatenate(parts_var))
-    return phi0, phi1, phi2
-
-
 def phi_profile(
     sigma: float,
     y: float,
@@ -211,37 +239,50 @@ def phi_profile(
         raise DomainError("phi_profile requires y >= 2")
     if not 0 <= max_order <= MAX_ORDER:
         raise DomainError(f"max_order must be in 0..{MAX_ORDER}")
-    primes = primes_for(y)
+    cache = _y_cache(y)
+    primes = cache["primes"]
 
     if quad.scheme == "adaptive_simpson":
-        # verification route: per-prime adaptive quadrature
-        def sums(s: float) -> tuple[float, float, float]:
+        # verification route: per-prime adaptive quadrature, no fast path
+        fast_p = np.empty(0)
+
+        def terms(s: float) -> np.ndarray:
             locs = [local_log_derivatives(int(p), s, quad) for p in primes]
-            return (
-                math.fsum(l.log_value for l in locs),
-                math.fsum(l.dlog1 for l in locs),
-                math.fsum(l.curvature for l in locs),
-            )
+            return np.array([(l.log_value, l.dlog1, l.curvature) for l in locs]).T
 
     else:
-        use_fast = fast_path and sigma >= 3.0
-        cut = FAST_PATH_FACTOR * max(abs(sigma), 1.0)
-        slow_p = primes[primes <= cut] if use_fast else primes
-        fast_p = primes[primes > cut].astype(float) if use_fast else None
-        tables = [_bucket_tables(pv, n) for _, pv, n in _layout(slow_p, sigma, quad)]
-        if fast_p is not None and fast_p.size:
+        k = primes.size
+        if fast_path and sigma >= 3.0:
+            k = int(np.searchsorted(primes, FAST_PATH_FACTOR * sigma, side="right"))
+        layout = _layout(primes[:k], sigma, quad)
+        tables = {n: _tables(cache, n, hi) for _, hi, n in layout}
+        fast_p = primes[k:].astype(float)
+
+        def terms(s: float) -> np.ndarray:
+            out = np.empty((3, primes.size))
+            for lo, hi, n in layout:
+                w, s2, logd = tables[n]
+                out[:, lo:hi] = _bucket_sums((w, s2, logd[lo:hi]), s)
+            out[:, k:] = _fast_sums(fast_p, s)
+            return out
+
+    key = (sigma, quad, fast_path)
+    if cache["last"][0] == key:
+        phi0, phi1, phi2 = cache["last"][1]
+    else:
+        if fast_p.size:
             _sentinel_check(fast_p, sigma, quad)
-
-        def sums(s: float) -> tuple[float, float, float]:
-            return _profile_sums(tables, fast_p, s)
-
-    phi0, phi1, phi2 = sums(sigma)
+        phi0, phi1, phi2 = (math.fsum(row.tolist()) for row in terms(sigma))
+        cache["last"] = key, (phi0, phi1, phi2)
     if sigma == 0.0:
         phi0 = 0.0  # exact: every E_p(0) = 1
     values = [phi0, phi1, phi2, math.nan, math.nan]
     if max_order >= 3:
         h = _FD_REL_STEP * max(abs(sigma), 1.0)
-        c2 = {d: sums(sigma + d * h)[2] for d in (-1.0, -0.5, 0.5, 1.0)}
+        c2 = {
+            d: math.fsum(terms(sigma + d * h)[2].tolist())
+            for d in (-1.0, -0.5, 0.5, 1.0)
+        }
         d_h = (c2[1.0] - c2[-1.0]) / (2.0 * h)
         d_h2 = (c2[0.5] - c2[-0.5]) / h
         values[3] = (4.0 * d_h2 - d_h) / 3.0
@@ -375,8 +416,8 @@ class MomentLine:
         parts0: list[np.ndarray] = []
         parts1: list[np.ndarray] = []
         parts2: list[np.ndarray] = []
-        for _, pvec, n in _layout(primes, sigma, quad, tau_max=tau_max):
-            w, s2, logd = _bucket_tables(pvec, n)
+        for lo, hi, n in _layout(primes, sigma, quad, tau_max=tau_max):
+            w, s2, logd = _bucket_tables(primes[lo:hi].astype(float), n)
             m = self.sigma * logd
             mx = np.max(m, axis=1)
             kern = np.exp(m - mx[:, None]) * s2[None, :] * w[None, :]

@@ -7,6 +7,13 @@ says so in CHANGES.md. Orders of phi are 0..4 at the saddle tilt; the
 estimate pins are (log_value, error_indicator), the perron one of its
 upper estimate.
 
+The large-y pins reach y = 1e5 and 1e6, where buckets span several row
+chunks of the profile reduction (at y = 1e3 all 168 primes fit in one).
+They were recorded on one BLAS thread, at the commit before the profile
+kept its tables per y. The chunked reduction gives them on one and on two
+BLAS threads; the whole-bucket product it replaced moved the last bit of
+phi_0 in the lower (4, 1e5) pin on two.
+
 The pins were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on
 x86-64 Linux. Another numpy build or libm may round differently in the last
 bit; on such a host, regenerate the pins from the commit before a change
@@ -18,6 +25,7 @@ from test_acceptance import Budget
 
 from eulertails.cli import main
 from eulertails.manifest import CACHE_DIR_ENV
+from eulertails.profile import phi_profile
 from eulertails.saddle import solve_saddle
 from eulertails.tails import tail_expansion, tail_perron, tail_saddle
 
@@ -78,6 +86,22 @@ PINS = {
         'refined': ('-0x1.03480cec3ee38p+4', '0x1.e96d428f8073ap-7'),
         'asymptotic': ('-0x1.02da89b55a059p+4', '0x1.31e44999b0483p-4'),
         'perron': ('-0x1.00c0c2d8b0d9ep+4', '0x1.0c6f7a756cd33p-20'),
+    },
+}
+LARGE_Y_PHI = {
+    -566.0: ('0x1.d9c193149f3bdp+10', '-0x1.df0b16e5513fdp+1', '0x1.33bf539f3809cp-11', '0x1.415f4449a869dp-20', '0x1.3b50e7789f1d7p-28'),
+    569.0: ('0x1.337d5bc5f415dp+11', '0x1.2f3a4712146a8p+2', '0x1.33bf52411a46ap-11', '-0x1.415f457ddb3f1p-20', '0x1.3b50e774f3c9bp-28'),
+}
+LARGE_Y_SADDLE = {
+    ('upper', 6.0, 1e6): {
+        'kappa': '0x1.1c83fcc3aaebdp+9',
+        'residual': '-0x1.5380000000000p-41',
+        'phi': ('0x1.338214da81046p+11', '0x1.2f3a93c30fae0p+2', '0x1.33ba50e76fe91p-11', '-0x1.41557327737fdp-20', '0x1.3b42c89092a0dp-28'),
+    },
+    ('lower', 4.0, 1e5): {
+        'kappa': '0x1.23d231b678554p+6',
+        'residual': '0x1.0000000000000p-51',
+        'phi': ('0x1.5e0b6c407adddp+7', '-0x1.773f4e58cf183p+1', '0x1.a6fb1c2a68685p-8', '0x1.b52716f56f2b3p-14', '0x1.a0e5644715fd8p-19'),
     },
 }
 SADDLE_STDOUT = (
@@ -141,6 +165,19 @@ def test_tail_row_bits(outputs, key):
     assert set(got) == set(want)
     for route in ("refined", "asymptotic", "perron", "expansion"):
         assert got.get(route) == want.get(route), route
+
+
+def test_large_y_bits():
+    with Budget(10.0):
+        for sigma, want in LARGE_Y_PHI.items():
+            got = phi_profile(sigma, 1e6, max_order=4).values
+            assert tuple(v.hex() for v in got) == want, sigma
+        for (tail, t, y), want in LARGE_Y_SADDLE.items():
+            sol = solve_saddle(t, y, tail=tail)
+            assert sol.kappa.hex() == want["kappa"], (tail, t, y)
+            assert sol.residual.hex() == want["residual"], (tail, t, y)
+            phi = tuple(v.hex() for v in sol.profile_at_kappa.values)
+            assert phi == want["phi"], (tail, t, y)
 
 
 def test_lower_saddle_stdout_bytes(capsys, tmp_path, monkeypatch):

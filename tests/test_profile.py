@@ -3,17 +3,27 @@ complex continuation along vertical lines.
 """
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eulertails import profile
 from eulertails.coefficients import coefficient_b
-from eulertails.constants import EULER_GAMMA
+from eulertails.constants import CHUNK_DOUBLES, EULER_GAMMA
 from eulertails.errors import DomainError
-from eulertails.local import local_moment_log
+from eulertails.local import local_moment_log, nodes_for
 from eulertails.primes import primes_for
 from eulertails.profile import (
     MomentLine,
+    _bucket_sums,
+    _bucket_tables,
+    _chunks,
+    _layout,
     decay_ratio_check,
     moment_complex,
     phi_asymptotic,
@@ -27,6 +37,8 @@ ADAPTIVE = QuadratureSpec(scheme="adaptive_simpson")
 # fast path vs all-quadrature relative gaps measured at sigma=50, y=1e4,
 # frozen with a factor-2 margin
 FAST_PATH_GAPS = {0: 5.2e-5, 1: 4.3e-5, 2: 1.3e-6}
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class TestPhiProfile:
@@ -237,3 +249,152 @@ class TestDecay:
             decay_ratio_check(2.0, 200.0, [1.0])
         with pytest.raises(DomainError):
             decay_ratio_check(5.0, 200.0, [1.0], delta=0.5)
+
+
+def _next_pow2_rule(want: int) -> int:
+    """The power-of-two rule (floor 64) of a prime needing ``want`` nodes."""
+    return max(64, 1 << (int(want) - 1).bit_length())
+
+
+class TestBucketLayout:
+    @pytest.mark.parametrize("y", (1e3, 1e5))
+    @pytest.mark.parametrize("tau", (0.0, 37.5))
+    @pytest.mark.parametrize("sigma", (-600.0, -3.0, 0.0, 3.0, 569.0, 4208.0))
+    def test_ranges_tile_the_primes_with_each_primes_rule(self, sigma, tau, y):
+        primes = primes_for(y)
+        layout = _layout(primes, sigma, DEFAULT_QUAD, tau_max=tau)
+        nodes = [n for _, _, n in layout]
+        assert nodes == sorted(set(nodes))  # increasing, one range per rule
+        edge = 0
+        for lo, hi, n in reversed(layout):  # in prime order
+            assert lo == edge < hi
+            edge = hi
+            want = nodes_for(primes[lo:hi], sigma, tau)
+            assert all(_next_pow2_rule(k) == n for k in want)
+        assert edge == primes.size
+
+    def test_fixed_nodes_is_one_range(self):
+        primes = primes_for(1e3)
+        assert _layout(primes, 3.0, DEFAULT_QUAD.with_nodes(96)) == [
+            (0, primes.size, 96)
+        ]
+
+
+def _one_shot_bucket_sums(tables, sigma):
+    """The whole-bucket reduction that the chunked _bucket_sums replaced."""
+    w, s2, logd = tables
+    kern = sigma * logd
+    mx = np.max(kern, axis=1)
+    kern -= mx[:, None]
+    np.exp(kern, out=kern)
+    kern *= s2
+    z = kern @ w
+    scratch = kern * logd
+    mean = scratch @ w / z
+    np.square(np.subtract(logd, mean[:, None], out=scratch), out=scratch)
+    scratch *= kern
+    var = scratch @ w / z
+    log_e = mx + np.log(z * (2.0 / np.pi))
+    return log_e, mean, var
+
+
+def _chunk_rule_mismatches() -> list[tuple[int, float, int]]:
+    """(n, sigma, rows) where the chunked and the whole-bucket reductions of
+    real log D_p rows differ in any bit."""
+    primes = primes_for(2e5).astype(float)
+    bad = []
+    for n in (64, 128, 256):
+        r = CHUNK_DOUBLES // n
+        for sigma in (-566.0, 3.0, 569.0):
+            for size in (1, 2, r - 1, r, r + 1, 2 * r + 1, 5 * r + 3):
+                tables = _bucket_tables(primes[:size], n)
+                got = _bucket_sums(tables, sigma)
+                want = _one_shot_bucket_sums(tables, sigma)
+                if not all(
+                    np.array_equal(g.view(np.int64), w.view(np.int64))
+                    for g, w in zip(got, want)
+                ):
+                    bad.append((n, sigma, size))
+    return bad
+
+
+class TestChunkedReduction:
+    def test_chunked_bucket_sums_keep_every_bit(self):
+        # a whole-bucket product split over several BLAS threads rounds by
+        # the split, so compare as the benchmark runs: on one BLAS thread
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+        code = "import test_profile as t; print(t._chunk_rule_mismatches())"
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=Path(__file__).parent,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert run.stdout.strip() == "[]"
+
+    def test_chunks_never_end_in_one_row(self):
+        for hi in range(1, 40):
+            parts = _chunks(0, hi, 4)
+            assert [a for a, _ in parts] == list(range(0, hi, 4))[: len(parts)]
+            assert parts[-1][1] == hi
+            assert hi == 1 or all(b - a >= 2 for a, b in parts)
+
+
+@pytest.fixture
+def cold_cache():
+    profile._Y_CACHE.clear()
+    yield
+    profile._Y_CACHE.clear()
+
+
+def _cold(*args, **kwargs):
+    profile._Y_CACHE.clear()
+    return repr(phi_profile(*args, **kwargs).values)
+
+
+class TestYCache:
+    def test_values_do_not_depend_on_cache_state(self, cold_cache):
+        calls = [(-40.0, 1e4, 4), (75.9, 1e4, 4), (-3.0, 1e3, 2), (569.0, 1e5, 2)]
+        cold = [_cold(s, y, max_order=m) for s, y, m in calls]
+        profile._Y_CACHE.clear()
+        for _ in range(2):  # warm, in the y order (y1, y2, y1, ...)
+            for (s, y, m), want in zip(calls, cold):
+                assert repr(phi_profile(s, y, max_order=m).values) == want
+
+    def test_cached_tables_are_read_only(self, cold_cache):
+        phi_profile(-40.0, 1e4)
+        tables = profile._Y_CACHE["tables"]
+        assert tables
+        for _, _, logd in tables.values():
+            with pytest.raises(ValueError):
+                logd[0, 0] = 0.0
+
+    def test_only_the_latest_y_is_held(self, cold_cache):
+        phi_profile(-40.0, 1e4, max_order=4)
+        phi_profile(-40.0, 1e3)
+        held = profile._Y_CACHE["tables"]
+        assert profile._Y_CACHE["y"] == 1000
+        assert profile._Y_CACHE["primes"] is primes_for(1e3)
+        rows = [logd.shape[0] for _, _, logd in held.values()]
+        assert rows and max(rows) <= primes_for(1e3).size
+
+    def test_remembered_pass_is_keyed_by_quad_and_fast_path(self, cold_cache):
+        variants = [{"fast_path": False}, {"quad": DEFAULT_QUAD.with_nodes(96)}, {}]
+        cold = [_cold(50.0, 1e4, max_order=4, **kw) for kw in variants]
+        assert len(set(cold)) == 3
+        for kw, want in zip(variants, cold):
+            phi_profile(50.0, 1e4, max_order=4)  # remembers the fast-path pass
+            assert repr(phi_profile(50.0, 1e4, max_order=4, **kw).values) == want
+
+    def test_warm_call_memory_stays_in_chunks(self, cold_cache):
+        phi_profile(-566.0, 1e6, max_order=4)
+        tracemalloc.start()
+        try:
+            phi_profile(-566.0, 1e6, max_order=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
