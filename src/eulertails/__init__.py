@@ -45,7 +45,7 @@ from .local import (
     local_moment_weighted,
     log_d_p,
 )
-from .manifest import ConstantsCache, RunManifest
+from .manifest import RunManifest
 from .mc import (
     McEstimate,
     SamplerConfig,
@@ -91,7 +91,6 @@ __all__ = [
     "AStarDetail",
     "AccuracyError",
     "ConsistencyError",
-    "ConstantsCache",
     "DEFAULT_QUAD",
     "DomainError",
     "EulertailsError",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coefficients import COEFF_QUAD, compute_coefficients
 from .errors import ConsistencyError, DomainError, EulertailsError
-from .manifest import ARTIFACT_VERSION, ConstantRecord, ConstantsCache, RunManifest
+from .manifest import ARTIFACT_VERSION, ConstantRecord, RunManifest
 from .mc import (
     BLOCK,
     SamplerConfig,
@@ -141,6 +141,13 @@ def _smoothing_from(args) -> SmoothingParams | None:
     )
 
 
+def _parse_float(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(f"{flag} takes a number, got {text!r}") from None
+
+
 def _resolve_tilt(args, sol_kappa) -> float | None:
     """None for plain sampling, else the tilting parameter."""
     tilt = getattr(args, "tilt", None)
@@ -148,7 +155,7 @@ def _resolve_tilt(args, sol_kappa) -> float | None:
         return None
     if tilt == "auto":
         return float(sol_kappa() if callable(sol_kappa) else sol_kappa)
-    return float(tilt)
+    return _parse_float("--tilt", tilt)
 
 
 def _row(t, y, method, J, log_value, error_indicator, seed) -> dict:
@@ -173,61 +180,9 @@ def _estimate_row(est: TailEstimate) -> dict:
 # constants
 # ---------------------------------------------------------------------------
 
-_GAMMA_CAP = 4  # kappa-expansion coefficients available up to gamma_4
-
-
-def _expected_constant_names(J: int) -> list[tuple[str, int | None, int | None]]:
-    names: list[tuple[str, int | None, int | None]] = [("gamma0", None, None)]
-    for j in range(1, J + 1):
-        for n in range(3):
-            names.append((f"b_{j}_{n}", j, n))
-    for j in range(1, J + 1):
-        names.append((f"a_{j}", j, None))
-    for j in range(1, min(J - 1, _GAMMA_CAP) + 1):
-        names.append((f"gamma_{j}", j, None))
-    for j in (1, 2):
-        names.append((f"a_star_{j}", j, None))
-    return names
-
-
 def cmd_constants(args) -> int:
     start = time.monotonic()
-    cache = ConstantsCache()
-    fingerprint = COEFF_QUAD.fingerprint
-    expected = _expected_constant_names(args.J)
-
-    cached = {
-        name: cache.get(name, j, n, fingerprint) for name, j, n in expected
-    }
-    if all(rec is not None for rec in cached.values()):
-        rows = [
-            {
-                "name": name,
-                "j": j,
-                "n": n,
-                "value": cached[name].value,
-                "abs_error_estimate": cached[name].abs_error,
-            }
-            for name, j, n in expected
-        ]
-    else:
-        table = compute_coefficients(args.J, COEFF_QUAD)
-        by_name = {row["name"]: row for row in table.rows()}
-        rows = [by_name[name] for name, _, _ in expected]
-        for name, j, n in expected:
-            row = by_name[name]
-            err = row["abs_error_estimate"]
-            cache.put(
-                name,
-                j,
-                n,
-                fingerprint,
-                ConstantRecord(
-                    value=row["value"],
-                    abs_error=err if math.isfinite(err) else float("nan"),
-                ),
-            )
-
+    rows = compute_coefficients(args.J, COEFF_QUAD).rows()
     constants = {
         row["name"]: ConstantRecord(
             value=row["value"], abs_error=row["abs_error_estimate"]
@@ -353,7 +308,7 @@ def cmd_mc(args) -> int:
 
 def cmd_table(args) -> int:
     start = time.monotonic()
-    t_grid = [float(part) for part in args.t.split(",") if part.strip()]
+    t_grid = [_parse_float("--t", part) for part in args.t.split(",") if part.strip()]
     if not t_grid:
         raise DomainError("--t must list at least one value, e.g. --t 2,3,4")
     rows = []
@@ -568,16 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "constants",
         parents=[output],
-        help="expansion constants table (disk-cached, bit-stable)",
+        help="expansion constants table (bit-stable)",
         description=(
             "Compute the expansion constants up to depth J with error "
-            "estimates. Results are cached on disk (delete-safe; directory "
-            "from EULERTAILS_CACHE_DIR) and cache hits reproduce the "
-            "original bits. These constants always use the pinned "
+            "estimates. These constants always use the pinned "
             "high-accuracy scheme; --quad-nodes does not affect them."
         ),
     )
-    p.add_argument("--J", type=int, default=2, help="expansion depth (1..5)")
+    p.add_argument("--J", type=int, default=2, help="expansion depth (1..8)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(handler=cmd_constants)
 

@@ -119,6 +119,20 @@ def series_s(u: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+def _series_sum(u, ls, e, c=None):
+    """sum over l in ls (in that order) of c(l) u^{e(l)} / prod_{k<=l} k(k+1),
+    with c(l) = 1 when c is None."""
+    s = np.zeros_like(u)
+    for l in ls:
+        term = u ** e(l)
+        if c is not None:
+            term = c(l) * term
+        for k in range(1, l + 1):
+            term /= k * (k + 1)
+        s = s + term
+    return s
+
+
 def series_h_small(u, terms: int = _SERIES_TERMS):
     """h(u) for 0 <= u < 1 from the truncated power series.
 
@@ -127,13 +141,7 @@ def series_h_small(u, terms: int = _SERIES_TERMS):
     u = np.asarray(u, dtype=float)
     if np.any(u < 0) or np.any(u >= 1):
         raise DomainError("series_h_small is defined for 0 <= u < 1")
-    s = np.zeros_like(u)
-    for l in range(terms - 1, -1, -1):
-        term = u ** (2 * l)
-        for k in range(1, l + 1):
-            term /= k * (k + 1)
-        s = s + term
-    out = np.log(s)
+    out = np.log(_series_sum(u, range(terms - 1, -1, -1), lambda l: 2 * l))
     return float(out) if out.ndim == 0 else out
 
 
@@ -290,12 +298,8 @@ def h_over_u2(u):
     out = np.empty_like(u)
     small = u < _SERIES_CUTOFF
     us = u[small]
-    rest = np.zeros_like(us)  # sum_{l>=1} u^{2(l-1)} / (l! (l+1)!)
-    for l in range(_SERIES_TERMS, 0, -1):
-        term = us ** (2 * (l - 1))
-        for k in range(1, l + 1):
-            term /= k * (k + 1)
-        rest = rest + term
+    # sum_{l>=1} u^{2(l-1)} / (l! (l+1)!)
+    rest = _series_sum(us, range(_SERIES_TERMS, 0, -1), lambda l: 2 * (l - 1))
     u2 = us * us
     with np.errstate(invalid="ignore"):
         ratio = np.log1p(u2 * rest) / u2
@@ -313,12 +317,10 @@ def gp_over_u(u):
     out = np.empty_like(u)
     small = u < _SERIES_CUTOFF
     us = u[small]
-    s1u = np.zeros_like(us)  # sum_{l>=1} 2l u^{2(l-1)} / (l! (l+1)!)
-    for l in range(_SERIES_TERMS, 0, -1):
-        term = 2.0 * l * us ** (2 * (l - 1))
-        for k in range(1, l + 1):
-            term /= k * (k + 1)
-        s1u = s1u + term
+    # sum_{l>=1} 2l u^{2(l-1)} / (l! (l+1)!)
+    s1u = _series_sum(
+        us, range(_SERIES_TERMS, 0, -1), lambda l: 2 * (l - 1), lambda l: 2.0 * l
+    )
     out[small] = s1u / series_s(us, 0)[0]
     ub = u[~small]
     out[~small] = np.asarray(g_deriv(ub, 1)) / ub

@@ -1,39 +1,20 @@
-"""Reproducibility manifest and the advisory constants cache.
+"""Reproducibility manifest.
 
 Every file the CLI writes embeds a :class:`RunManifest` describing exactly
 how to regenerate it: the command line, the seed, the quadrature settings,
 and the expansion constants the run consumed (stored bit-exact via
 ``float.hex``). Manifests round-trip through JSON identically.
-
-The :class:`ConstantsCache` memoizes expansion coefficients on disk, keyed
-by (name, j, n, quadrature fingerprint). It is purely advisory: a missing,
-stale, or corrupt cache file only costs recomputation, never correctness,
-so deleting the cache directory is always safe.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable
 
 from .quadrature import QuadratureSpec
 
 ARTIFACT_VERSION = "0.1.0"
-
-#: environment variable overriding the cache directory
-CACHE_DIR_ENV = "EULERTAILS_CACHE_DIR"
-
-
-def _default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "eulertails"
 
 
 @dataclass(frozen=True)
@@ -104,84 +85,3 @@ class RunManifest:
     @staticmethod
     def from_json(text: str) -> "RunManifest":
         return RunManifest.from_dict(json.loads(text))
-
-
-class ConstantsCache:
-    """Disk cache of expansion constants, bit-exact across processes.
-
-    Values are stored as ``float.hex`` strings, so a cache hit returns the
-    identical double that the original computation produced.
-    """
-
-    def __init__(self, directory: str | Path | None = None) -> None:
-        self.directory = Path(directory) if directory else _default_cache_dir()
-        self.path = self.directory / "constants.json"
-        self._entries: dict[str, dict] = self._load()
-
-    @staticmethod
-    def key(name: str, j: int | None, n: int | None, fingerprint: str) -> str:
-        js = "-" if j is None else str(j)
-        ns = "-" if n is None else str(n)
-        return f"{name}|{js}|{ns}|{fingerprint}"
-
-    def _load(self) -> dict[str, dict]:
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                return {}
-            return data
-        except (OSError, ValueError):
-            return {}
-
-    def _flush(self) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self._entries, fh, sort_keys=True, indent=1)
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def get(
-        self, name: str, j: int | None, n: int | None, fingerprint: str
-    ) -> ConstantRecord | None:
-        entry = self._entries.get(self.key(name, j, n, fingerprint))
-        if entry is None:
-            return None
-        try:
-            return ConstantRecord.from_dict(entry)
-        except (KeyError, ValueError, TypeError):
-            return None
-
-    def put(
-        self,
-        name: str,
-        j: int | None,
-        n: int | None,
-        fingerprint: str,
-        record: ConstantRecord,
-    ) -> None:
-        self._entries[self.key(name, j, n, fingerprint)] = record.to_dict()
-        self._flush()
-
-    def get_or_compute(
-        self,
-        name: str,
-        j: int | None,
-        n: int | None,
-        quad: QuadratureSpec,
-        compute: Callable[[], tuple[float, float]],
-    ) -> tuple[ConstantRecord, bool]:
-        """(record, was_cache_hit); ``compute`` returns (value, abs_error)."""
-        hit = self.get(name, j, n, quad.fingerprint)
-        if hit is not None:
-            return hit, True
-        value, abs_error = compute()
-        record = ConstantRecord(value=float(value), abs_error=float(abs_error))
-        self.put(name, j, n, quad.fingerprint, record)
-        return record, False

@@ -6,6 +6,7 @@ A segmented Eratosthenes sieve keeps memory bounded for limits up to the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,6 +55,8 @@ def _primes_cached(limit: int) -> np.ndarray:
 
 def primes_for(y: float) -> np.ndarray:
     """Cached read-only prime array for p <= y."""
+    if not math.isfinite(y):
+        raise DomainError(f"y must be finite, got {y!r}")
     return _primes_cached(int(y))
 
 

@@ -132,9 +132,10 @@ _Y_CACHE: dict = {}
 
 def _y_cache(y: float) -> dict:
     """The cache of y, emptied first if it holds another y."""
-    if _Y_CACHE.get("y") != int(y):
+    if not math.isfinite(y) or _Y_CACHE.get("y") != int(y):
+        primes = primes_for(y)  # DomainError for a non-finite y
         _Y_CACHE.clear()
-        _Y_CACHE.update(y=int(y), primes=primes_for(y), tables={}, last=(None, None))
+        _Y_CACHE.update(y=int(y), primes=primes, tables={}, last=(None, None))
     return _Y_CACHE
 
 

@@ -14,6 +14,9 @@ kept its tables per y. The chunked reduction gives them on one and on two
 BLAS threads; the whole-bucket product it replaced moved the last bit of
 phi_0 in the lower (4, 1e5) pin on two.
 
+The constants pin is the stdout of ``eulertails constants --J 4``, recorded
+on one BLAS thread at the commit before that command lost its disk cache.
+
 The pins were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1 on
 x86-64 Linux. Another numpy build or libm may round differently in the last
 bit; on such a host, regenerate the pins from the commit before a change
@@ -24,7 +27,6 @@ import pytest
 from test_acceptance import Budget
 
 from eulertails.cli import main
-from eulertails.manifest import CACHE_DIR_ENV
 from eulertails.profile import phi_profile
 from eulertails.saddle import solve_saddle
 from eulertails.tails import tail_expansion, tail_perron, tail_saddle
@@ -126,6 +128,168 @@ SADDLE_STDOUT = (
     '}\n'
 )
 
+# stdout of `eulertails constants --J 4`; its rows include those of --J 3
+CONSTANTS_STDOUT = (
+    '{\n'
+    '  "rows": [\n'
+    '    {\n'
+    '      "name": "gamma0",\n'
+    '      "j": null,\n'
+    '      "n": null,\n'
+    '      "value": -0.19843826402036446,\n'
+    '      "abs_error_estimate": 5.999200722162641e-15\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_1_0",\n'
+    '      "j": 1,\n'
+    '      "n": 0,\n'
+    '      "value": -2.396876528041967,\n'
+    '      "abs_error_estimate": 5.973799150320701e-14\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_1_1",\n'
+    '      "j": 1,\n'
+    '      "n": 1,\n'
+    '      "value": -0.3968765280407289,\n'
+    '      "abs_error_estimate": 1.1998401444325282e-14\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_1_2",\n'
+    '      "j": 1,\n'
+    '      "n": 2,\n'
+    '      "value": 2.000000000000017,\n'
+    '      "abs_error_estimate": 1.5773159728050816e-14\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_2_0",\n'
+    '      "j": 2,\n'
+    '      "n": 0,\n'
+    '      "value": -4.815453402128887,\n'
+    '      "abs_error_estimate": 8.480617008561035e-11\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_2_1",\n'
+    '      "j": 2,\n'
+    '      "n": 1,\n'
+    '      "value": -2.418576874089804,\n'
+    '      "abs_error_estimate": 2.773417043297377e-13\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_2_2",\n'
+    '      "j": 2,\n'
+    '      "n": 2,\n'
+    '      "value": 0.3968765280411709,\n'
+    '      "abs_error_estimate": 3.808864252301646e-14\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_3_0",\n'
+    '      "j": 3,\n'
+    '      "n": 0,\n'
+    '      "value": -10.585386585726692,\n'
+    '      "abs_error_estimate": 2.9241728149170523e-11\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_3_1",\n'
+    '      "j": 3,\n'
+    '      "n": 1,\n'
+    '      "value": -0.9544797814697512,\n'
+    '      "abs_error_estimate": 2.7905907805941532e-11\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_3_2",\n'
+    '      "j": 3,\n'
+    '      "n": 2,\n'
+    '      "value": 4.837153748175581,\n'
+    '      "abs_error_estimate": 1.3953039523701388e-10\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_4_0",\n'
+    '      "j": 4,\n'
+    '      "n": 0,\n'
+    '      "value": -46.66454228270828,\n'
+    '      "abs_error_estimate": 1.3173986337985843e-12\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_4_1",\n'
+    '      "j": 4,\n'
+    '      "n": 1,\n'
+    '      "value": -14.908382525527728,\n'
+    '      "abs_error_estimate": 1.1480505352461479e-13\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "b_4_2",\n'
+    '      "j": 4,\n'
+    '      "n": 2,\n'
+    '      "value": 2.8634393444094783,\n'
+    '      "abs_error_estimate": 4.019806626980426e-14\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "a_1",\n'
+    '      "j": 1,\n'
+    '      "n": null,\n'
+    '      "value": 2.0000000000012417,\n'
+    '      "abs_error_estimate": 6.595524044110788e-14\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "a_2",\n'
+    '      "j": 2,\n'
+    '      "n": null,\n'
+    '      "value": 2.3968765280403224,\n'
+    '      "abs_error_estimate": 8.342505264297666e-11\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "a_3",\n'
+    '      "j": 3,\n'
+    '      "n": null,\n'
+    '      "value": 9.630906804256957,\n'
+    '      "abs_error_estimate": 2.937673126896494e-11\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "a_4",\n'
+    '      "j": 4,\n'
+    '      "n": null,\n'
+    '      "value": 31.756159757180573,\n'
+    '      "abs_error_estimate": 1.0012071163853397e-12\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "gamma_1",\n'
+    '      "j": 1,\n'
+    '      "n": null,\n'
+    '      "value": 1.189599564731194,\n'
+    '      "abs_error_estimate": null\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "gamma_2",\n'
+    '      "j": 2,\n'
+    '      "n": null,\n'
+    '      "value": 0.9461466966729256,\n'
+    '      "abs_error_estimate": null\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "gamma_3",\n'
+    '      "j": 3,\n'
+    '      "n": null,\n'
+    '      "value": 7.2164271598101,\n'
+    '      "abs_error_estimate": null\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "a_star_1",\n'
+    '      "j": 1,\n'
+    '      "n": null,\n'
+    '      "value": 1.0,\n'
+    '      "abs_error_estimate": 0.0\n'
+    '    },\n'
+    '    {\n'
+    '      "name": "a_star_2",\n'
+    '      "j": 2,\n'
+    '      "n": null,\n'
+    '      "value": 4.597326265794815,\n'
+    '      "abs_error_estimate": 1.0000000000012417\n'
+    '    }\n'
+    '  ]\n'
+    '}\n'
+)
+
 
 def _hexes(est):
     return (est.log_value.hex(), est.error_indicator.hex())
@@ -180,8 +344,13 @@ def test_large_y_bits():
             assert phi == want["phi"], (tail, t, y)
 
 
-def test_lower_saddle_stdout_bytes(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "cache"))
+def test_lower_saddle_stdout_bytes(capsys):
     with Budget(5.0):
         assert main(["saddle", "--t", "1.5", "--y", "50", "--tail", "lower"]) == 0
     assert capsys.readouterr().out == SADDLE_STDOUT
+
+
+def test_constants_stdout_bytes(capsys):
+    with Budget(10.0):
+        assert main(["constants", "--J", "4"]) == 0
+    assert capsys.readouterr().out == CONSTANTS_STDOUT

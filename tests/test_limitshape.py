@@ -205,6 +205,78 @@ class TestOnePassSeries:
             assert np.array_equal(var, r2 / p**2)
 
 
+def _ref_series_h_small(u, terms):
+    s = np.zeros_like(u)
+    for l in range(terms - 1, -1, -1):
+        term = u ** (2 * l)
+        for k in range(1, l + 1):
+            term /= k * (k + 1)
+        s = s + term
+    return np.log(s)
+
+
+def _ref_h_over_u2_small(us):
+    rest = np.zeros_like(us)
+    for l in range(16, 0, -1):
+        term = us ** (2 * (l - 1))
+        for k in range(1, l + 1):
+            term /= k * (k + 1)
+        rest = rest + term
+    u2 = us * us
+    with np.errstate(invalid="ignore"):
+        ratio = np.log1p(u2 * rest) / u2
+    return np.where(u2 * rest < 1e-15, rest, ratio)
+
+
+def _ref_gp_over_u_small(us):
+    s1u = np.zeros_like(us)
+    for l in range(16, 0, -1):
+        term = 2.0 * l * us ** (2 * (l - 1))
+        for k in range(1, l + 1):
+            term /= k * (k + 1)
+        s1u = s1u + term
+    return s1u / _ref_series_su(us, 0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestSharedSeriesLoop:
+    """series_h_small, h_over_u2 and gp_over_u share one series loop; each
+    keeps every bit of its own former loop (these sums feed b_{j,0}, b_{j,1}
+    and a_j, so a tolerance would not do)."""
+
+    EDGES = np.array([0.0, 5e-324, 1e-300, 1e-160, 1e-8, 0.1, 0.2499999999999999])
+
+    def grid(self, hi):
+        rng = np.random.default_rng(24)
+        return np.concatenate(
+            [
+                self.EDGES,
+                rng.uniform(0.0, hi, 20_000),
+                hi * 10.0 ** rng.uniform(-320.0, 0.0, 20_000),
+            ]
+        )
+
+    def test_series_h_small_bits(self):
+        u = np.concatenate([self.grid(1.0), [0.9999999999999999]])
+        for terms in (16, 6, 1):
+            got = series_h_small(u, terms)
+            assert np.array_equal(_bits(got), _bits(_ref_series_h_small(u, terms)))
+        assert series_h_small(0.2499999999999999) == float(
+            _ref_series_h_small(np.asarray(0.2499999999999999), 16)
+        )
+
+    def test_h_over_u2_bits(self):
+        u = self.grid(0.25)
+        assert np.array_equal(_bits(h_over_u2(u)), _bits(_ref_h_over_u2_small(u)))
+
+    def test_gp_over_u_bits(self):
+        u = self.grid(0.25)
+        assert np.array_equal(_bits(gp_over_u(u)), _bits(_ref_gp_over_u_small(u)))
+
+
 class TestNormalizedForms:
     @given(st.floats(min_value=1e-8, max_value=1.0))
     @settings(max_examples=80, deadline=None)
